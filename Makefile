@@ -8,8 +8,10 @@
 #                                 engine per load scenario and of the
 #                                 sequential vs batched (RunMany)
 #                                 scenario-campaign runner
-#   results/BENCH_analysis.json — analysis-side benchmarks (scaling,
-#                                 set construction, Table II columns)
+#   results/BENCH_analysis.json — analysis-side benchmarks (fixed-point
+#                                 scaling, set construction, Table II
+#                                 columns) and the scratch-vs-incremental
+#                                 what-if pairs
 #
 # `make bench-serve` regenerates the serving-tier baseline separately
 # (it boots real processes on loopback, so it is not part of `bench`):
@@ -31,10 +33,11 @@
 #                                 states/op metrics carry the state-
 #                                 count reduction behind it.
 #
-# When a committed baseline already exists, the regenerated pair
-# speedups are gated against it: a drop of more than MAXREGRESS fails
-# the target (exit 3 from benchjson) and leaves the committed file
-# untouched, so CI catches a reduction that quietly stopped reducing.
+# For bench-analysis and bench-exhaustive, when a committed baseline
+# already exists, the regenerated pair speedups are gated against it: a
+# drop of more than MAXREGRESS fails the target (exit 3 from benchjson)
+# and leaves the committed file untouched, so CI catches an incremental
+# engine or a reduction that quietly stopped paying off.
 #
 # BENCHTIME/COUNT tune fidelity vs wall time; CI uses the defaults and
 # uploads the files as artifacts.
@@ -61,7 +64,17 @@ bench-analysis:
 	@mkdir -p results
 	go test -run=NONE -count=$(COUNT) -benchtime=$(BENCHTIME) -benchmem \
 	  -bench 'BenchmarkAnalysisScaling$$|BenchmarkBuildSets$$|BenchmarkTable2Didactic$$|BenchmarkAblationEq7$$|BenchmarkWhatIfScratch$$|BenchmarkWhatIfIncremental$$' . \
-	  | go run ./cmd/benchjson -out results/BENCH_analysis.json
+	  > results/.bench_analysis.txt
+	@if [ -f results/BENCH_analysis.json ]; then \
+	  go run ./cmd/benchjson -in results/.bench_analysis.txt \
+	    -out results/.bench_analysis.json.new \
+	    -baseline results/BENCH_analysis.json -max-regress $(MAXREGRESS); \
+	else \
+	  go run ./cmd/benchjson -in results/.bench_analysis.txt \
+	    -out results/.bench_analysis.json.new; \
+	fi
+	@mv results/.bench_analysis.json.new results/BENCH_analysis.json
+	@rm -f results/.bench_analysis.txt
 	@echo wrote results/BENCH_analysis.json
 
 bench-exhaustive:

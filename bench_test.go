@@ -166,16 +166,14 @@ func BenchmarkAblationEq7(b *testing.B) {
 
 // BenchmarkAnalysisScaling measures analysis cost versus flow-set size
 // for each method (the memoised I^down recursion keeps XLWX/IBN close to
-// SB).
+// SB). The interference sets are built outside the timed loop, so this is
+// the fixed point alone; BenchmarkBuildSets times the set derivation on
+// the same platforms.
 func BenchmarkAnalysisScaling(b *testing.B) {
-	for _, n := range []int{50, 100, 200, 400} {
-		topo := noc.MustMesh(8, 8, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
-		sys, err := workload.Synthetic(topo, workload.SynthConfig{NumFlows: n, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, p := range analysisPlatforms {
+		sys := p.system(b, 3)
 		for _, m := range []core.Method{core.SB, core.XLWX, core.IBN} {
-			b.Run(fmt.Sprintf("%s/n=%d", m, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", m, p.name), func(b *testing.B) {
 				sets := core.BuildSets(sys)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -187,6 +185,35 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 			})
 		}
 	}
+}
+
+// analysisPlatform is one regime of the analysis-side benchmarks: a
+// synthetic flow set of n flows on a w×h mesh with 2-flit buffers.
+type analysisPlatform struct {
+	name    string
+	w, h, n int
+}
+
+// analysisPlatforms are the regimes BenchmarkAnalysisScaling and
+// BenchmarkBuildSets share: the Fig. 4(b) 8×8 mesh at growing flow
+// counts, and the large regime — 400 flows crowded onto the 6×6 mesh of
+// a 36-core CMP (the SESC cmp36 configuration), about twice as many flows
+// per link as the 8×8 mesh at n=400.
+var analysisPlatforms = []analysisPlatform{
+	{"n=50", 8, 8, 50},
+	{"n=100", 8, 8, 100},
+	{"n=200", 8, 8, 200},
+	{"n=400", 8, 8, 400},
+	{"6x6/n=400", 6, 6, 400},
+}
+
+func (p analysisPlatform) system(b *testing.B, seed int64) *traffic.System {
+	topo := noc.MustMesh(p.w, p.h, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
+	sys, err := workload.Synthetic(topo, workload.SynthConfig{NumFlows: p.n, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys
 }
 
 // BenchmarkWhatIfScratch and BenchmarkWhatIfIncremental measure the
@@ -313,15 +340,16 @@ func remapToggle(sys *traffic.System, k int) [2]core.Delta {
 	}
 }
 
-// BenchmarkBuildSets measures interference-set construction.
+// BenchmarkBuildSets measures interference-set construction — the link
+// index, the contention domains, S^D/S^I and the per-pair table — on the
+// regimes of BenchmarkAnalysisScaling from n=100 up.
 func BenchmarkBuildSets(b *testing.B) {
-	for _, n := range []int{100, 400} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			topo := noc.MustMesh(8, 8, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
-			sys, err := workload.Synthetic(topo, workload.SynthConfig{NumFlows: n, Seed: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, p := range analysisPlatforms {
+		if p.n < 100 {
+			continue
+		}
+		b.Run(p.name, func(b *testing.B) {
+			sys := p.system(b, 5)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

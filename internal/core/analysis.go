@@ -331,12 +331,7 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 // hasIndirectVia reports whether some flow of S^I_i directly interferes
 // with τj, i.e. whether τj can pass indirect interference on to τi.
 func (a *analyzer) hasIndirectVia(i, j int) bool {
-	for _, k := range a.sets.Indirect(i) {
-		if a.sys.HigherPriority(k, j) && len(a.sets.CD(j, k)) > 0 {
-			return true
-		}
-	}
-	return false
+	return a.sets.hasIndirectVia(a.sets.pairRank(j, i))
 }
 
 // requireR returns the final response-time bound of flow j, or an error
@@ -359,31 +354,32 @@ func (a *analyzer) enter() {
 
 func (a *analyzer) leave() { a.depth-- }
 
-// idownXLWX evaluates Equation 3: the downstream indirect interference
-// suffered by τj from every τk ∈ S^downj_Ii, each hit of τk costing its
-// full interference contribution C_k + I^down_{kj}. Memoised in the
-// arena's XLWX space, which also serves IBN's upstream fallback.
-func (a *analyzer) idownXLWX(j, i int) (noc.Cycles, error) {
-	rank := a.sets.pairRank(j, i)
-	if a.ar.xlwxSet[rank] {
+// idownXLWX evaluates Equation 3 for the direct pair (j, i) of rank r:
+// the downstream indirect interference suffered by τj from every
+// τk ∈ S^downj_Ii, each hit of τk costing its full interference
+// contribution C_k + I^down_{kj}. Memoised in the arena's XLWX space,
+// which also serves IBN's upstream fallback.
+func (a *analyzer) idownXLWX(r int) (noc.Cycles, error) {
+	if a.ar.xlwxSet[r] {
 		a.tel.MemoHits++
-		return a.ar.xlwxVal[rank], nil
+		return a.ar.xlwxVal[r], nil
 	}
 	a.tel.MemoMisses++
 	a.enter()
 	defer a.leave()
-	rj, err := a.requireR(j)
+	rj, err := a.requireR(a.sets.direct[r])
 	if err != nil {
 		return 0, err
 	}
 	var sum noc.Cycles
-	for _, k := range a.sets.Downstream(i, j) {
+	for _, q := range a.sets.downstream(r) {
+		k := a.sets.direct[q]
 		rk, err := a.requireR(k)
 		if err != nil {
 			return 0, err
 		}
 		fk := a.sys.Flow(k)
-		inner, err := a.idownXLWX(k, j)
+		inner, err := a.idownXLWX(int(q))
 		if err != nil {
 			return 0, err
 		}
@@ -391,12 +387,13 @@ func (a *analyzer) idownXLWX(j, i int) (noc.Cycles, error) {
 		hits := ceilDiv(rj+fk.Jitter+jiK, fk.Period)
 		sum += hits * (a.sys.C(k) + inner)
 	}
-	a.ar.xlwxVal[rank] = sum
-	a.ar.xlwxSet[rank] = true
+	a.ar.xlwxVal[r] = sum
+	a.ar.xlwxSet[r] = true
 	return sum, nil
 }
 
-// idownIBN evaluates the proposed analysis's downstream term:
+// idownIBN evaluates the proposed analysis's downstream term for the
+// direct pair (j, i) of rank r:
 //
 //   - when τj suffers upstream indirect interference (S^upj_Ii non-empty)
 //     its packets may arrive into cd_ij chopped into waves, so Equation 8
@@ -405,29 +402,30 @@ func (a *analyzer) idownXLWX(j, i int) (noc.Cycles, error) {
 //   - otherwise, Equation 8: each downstream hit by τk costs
 //     min(bi_ij, C_k + I^down_{kj}), where bi_ij (Equation 6) is the
 //     buffer capacity of the contention domain cd_ij.
-func (a *analyzer) idownIBN(j, i int) (noc.Cycles, error) {
-	rank := a.sets.pairRank(j, i)
-	if a.ar.ibnSet[rank] {
+func (a *analyzer) idownIBN(r, i int) (noc.Cycles, error) {
+	if a.ar.ibnSet[r] {
 		a.tel.MemoHits++
-		return a.ar.ibnVal[rank], nil
+		return a.ar.ibnVal[r], nil
 	}
-	if !a.opt.NoUpstreamFallback && len(a.sets.Upstream(i, j)) > 0 {
-		return a.idownXLWX(j, i)
+	if !a.opt.NoUpstreamFallback && a.sets.hasUpstream(r) {
+		return a.idownXLWX(r)
 	}
 	a.tel.MemoMisses++
 	a.enter()
 	defer a.leave()
+	j := a.sets.direct[r]
 	rj, err := a.requireR(j)
 	if err != nil {
 		return 0, err
 	}
 	bi := a.sets.BufferedInterference(i, j, a.opt.BufDepth)
 	var sum noc.Cycles
-	for _, k := range a.sets.Downstream(i, j) {
+	for _, q := range a.sets.downstream(r) {
+		k := a.sets.direct[q]
 		fk := a.sys.Flow(k)
 		perHit := bi
 		if !a.opt.Eq7 {
-			inner, err := a.idownIBN(k, j)
+			inner, err := a.idownIBN(int(q), j)
 			if err != nil {
 				return 0, err
 			}
@@ -438,7 +436,7 @@ func (a *analyzer) idownIBN(j, i int) (noc.Cycles, error) {
 		hits := ceilDiv(rj+fk.Jitter, fk.Period)
 		sum += hits * perHit
 	}
-	a.ar.ibnVal[rank] = sum
-	a.ar.ibnSet[rank] = true
+	a.ar.ibnVal[r] = sum
+	a.ar.ibnSet[r] = true
 	return sum, nil
 }

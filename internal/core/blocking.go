@@ -35,16 +35,16 @@ import (
 // lower-priority flow — the links where a partial lower-priority flit
 // transfer can make τi wait.
 func (a *analyzer) sharedLowLinks(i int) int {
-	shared := make(map[noc.LinkID]struct{})
-	for m := 0; m < a.sys.NumFlows(); m++ {
-		if m == i || !a.sys.HigherPriority(i, m) {
-			continue
-		}
-		for _, l := range a.sets.CD(i, m) {
-			shared[l] = struct{}{}
+	shared := 0
+	for _, l := range a.sys.Route(i) {
+		for _, m := range a.sets.cd.flowsOn(l) {
+			if a.sys.HigherPriority(i, int(m)) {
+				shared++
+				break
+			}
 		}
 	}
-	return len(shared)
+	return shared
 }
 
 // replayEpisodes bounds the number of stop-and-go replays of direct
@@ -56,8 +56,8 @@ func (a *analyzer) replayEpisodes(i, j int) (noc.Cycles, error) {
 		return 0, err
 	}
 	var episodes noc.Cycles
-	for _, k := range a.sets.Downstream(i, j) {
-		fk := a.sys.Flow(k)
+	for _, q := range a.sets.downstream(a.sets.pairRank(j, i)) {
+		fk := a.sys.Flow(a.sets.direct[q])
 		episodes += ceilDiv(rj+fk.Jitter, fk.Period)
 	}
 	return episodes, nil

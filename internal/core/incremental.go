@@ -215,12 +215,8 @@ func (inc *Incremental) applyOne(d Delta) error {
 	switch d.Kind {
 	case DeltaPrioritySwap:
 		newSets = oldSets.withPriorities(newSys)
-	case DeltaMapping:
-		newSets = oldSets.withRoute(newSys, d.Flow)
-	case DeltaAddFlow:
-		newSets = oldSets.withFlowAppended(newSys)
-	case DeltaRemoveFlow:
-		newSets = oldSets.withFlowRemoved(newSys, d.Flow)
+	case DeltaMapping, DeltaAddFlow, DeltaRemoveFlow:
+		newSets = BuildSets(newSys)
 	default:
 		newSets = oldSets.rebind(newSys)
 	}
@@ -365,11 +361,11 @@ func allFlows(n int) map[int]bool {
 // linkSharers adds to dst every flow with a non-empty contention domain
 // with flow k under ss.
 func linkSharers(dst map[int]bool, ss *Sets, k int) {
-	if k >= len(ss.cd) {
+	if k >= ss.cd.n {
 		return
 	}
-	for i := range ss.cd {
-		if i != k && len(ss.cd[k][i]) > 0 {
+	for i := 0; i < ss.cd.n; i++ {
+		if ss.cd.size(k, i) > 0 {
 			dst[i] = true
 		}
 	}
@@ -381,34 +377,51 @@ func linkSharers(dst map[int]bool, ss *Sets, k int) {
 // included. Sets with fewer than n flows (pre-append graphs) contribute
 // their edges as-is; indices are assumed stable.
 func reverseReach(seeds map[int]bool, n int, setsList ...*Sets) map[int]bool {
-	rev := make([][]int, n)
+	// The reversed edges in CSR form: the flows depending on j are
+	// dep[off[j]:off[j+1]]. The edge derivation is shared with
+	// (*Sets).Clusters so the frontier and the cluster decomposition can
+	// never disagree on what a dependency is.
+	off := make([]int32, n+1)
 	for _, s := range setsList {
-		// The edge derivation is shared with (*Sets).Clusters so the
-		// frontier and the cluster decomposition can never disagree on
-		// what a dependency is.
 		s.dependencyEdges(func(i, j int) {
 			if i < n {
-				rev[j] = append(rev[j], i)
+				off[j+1]++
 			}
 		})
 	}
-	reached := make(map[int]bool, len(seeds))
-	queue := make([]int, 0, len(seeds))
+	for j := 0; j < n; j++ {
+		off[j+1] += off[j]
+	}
+	dep := make([]int32, off[n])
+	fill := append([]int32(nil), off[:n]...)
+	for _, s := range setsList {
+		s.dependencyEdges(func(i, j int) {
+			if i < n {
+				dep[fill[j]] = int32(i)
+				fill[j]++
+			}
+		})
+	}
+	seen := make([]bool, n)
+	queue := make([]int32, 0, n)
 	for s := range seeds {
-		if s < n && !reached[s] {
-			reached[s] = true
-			queue = append(queue, s)
+		if s < n && !seen[s] {
+			seen[s] = true
+			queue = append(queue, int32(s))
 		}
 	}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		for _, i := range rev[j] {
-			if !reached[i] {
-				reached[i] = true
+	for x := 0; x < len(queue); x++ {
+		j := queue[x]
+		for _, i := range dep[off[j]:off[j+1]] {
+			if !seen[i] {
+				seen[i] = true
 				queue = append(queue, i)
 			}
 		}
+	}
+	reached := make(map[int]bool, len(queue))
+	for _, i := range queue {
+		reached[int(i)] = true
 	}
 	return reached
 }

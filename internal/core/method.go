@@ -86,7 +86,7 @@ func baseExplainTerm(a *analyzer, i, j int) InterferenceTerm {
 		Cj:               a.sys.C(j),
 		Downstream:       a.sets.Downstream(i, j),
 		Upstream:         a.sets.Upstream(i, j),
-		ContentionDomain: len(a.sets.CD(i, j)),
+		ContentionDomain: a.sets.cd.size(i, j),
 	}
 }
 
@@ -149,7 +149,7 @@ func (m xlwxMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err err
 }
 
 func (xlwxMethod) idown(a *analyzer, j, i int) (noc.Cycles, error) {
-	return a.idownXLWX(j, i)
+	return a.idownXLWX(a.sets.pairRank(j, i))
 }
 
 func (m xlwxMethod) explainTerm(a *analyzer, i, j int) (InterferenceTerm, error) {
@@ -178,7 +178,7 @@ func (m ibnMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err erro
 }
 
 func (ibnMethod) idown(a *analyzer, j, i int) (noc.Cycles, error) {
-	return a.idownIBN(j, i)
+	return a.idownIBN(a.sets.pairRank(j, i), i)
 }
 
 func (m ibnMethod) explainTerm(a *analyzer, i, j int) (InterferenceTerm, error) {

@@ -38,156 +38,241 @@ import (
 // Sets holds the interference sets of a flow set, as defined in
 // Section III of the paper. Build it once per system with BuildSets; it
 // is immutable afterwards and safe for concurrent use.
+//
+// Ownership: Direct and Indirect return views of the shared tables,
+// which callers must not modify; CD, Upstream and Downstream return
+// fresh slices the caller owns.
 type Sets struct {
 	sys *traffic.System
-	// cd[i][j] is the contention domain cd_ij = route_i ∩ route_j,
-	// ordered along route_i (nil when empty). Symmetric as a set.
-	cd [][]noc.Route
-	// direct[i] is S^D_i: flows with higher priority than τi sharing at
-	// least one link with it. Sorted by flow index.
-	direct [][]int
-	// indirect[i] is S^I_i: flows not in S^D_i that directly interfere
-	// with at least one member of S^D_i. Sorted by flow index.
-	indirect [][]int
-	// pairOffset[i] is the dense rank of the first (j, i) direct pair of
-	// flow i in the flattened enumeration of all direct sets;
-	// pairOffset[n] is the total pair count. The downstream-interference
-	// recursions only ever memoise keys (j, i) with j ∈ S^D_i, so this
-	// ranking lets the engine replace per-run map[pair] memos with
-	// reusable slices.
+	cd  *contention
+	// direct holds every S^D, flattened: S^D_i is
+	// direct[pairOffset[i]:pairOffset[i+1]], sorted by flow index. The
+	// position r of j in that array is the dense rank of the direct pair
+	// (j, i): the index of the pair table below and of the engine's memo
+	// arenas. pairOffset[n] is the total pair count.
+	direct     []int
 	pairOffset []int
+	// indirect holds every S^I, flattened likewise:
+	// S^I_i = indirect[indirectOff[i]:indirectOff[i+1]], sorted.
+	indirect    []int
+	indirectOff []int32
+	// The pair table, indexed by the rank r of (j, i): S^upj_Ii is
+	// up[upOff[r]:upOff[r+1]] and S^downj_Ii is down[downOff[r]:…],
+	// each member k ⊂ S^D_j stored as the rank of the pair (k, j) — the
+	// memo key of the I^down recursion into it — in increasing k; and
+	// via[r] = |S^I_i ∩ S^D_j|.
+	up, down       []int32
+	upOff, downOff []int32
+	via            []int32
+}
+
+// contention is the route-dependent half of the interference sets: which
+// flows cross each link, and the contention domain of every flow pair.
+// It does not depend on priorities, so a priority reassignment shares it.
+type contention struct {
+	n int
+	// shared counts the ordered flow pairs with a non-empty domain.
+	shared int
+	// linkFlows[linkOff[l]:linkOff[l+1]] are the flows whose route
+	// crosses link l, in increasing index order.
+	linkOff, linkFlows []int32
+	// cd_ij is at[off[i*n+j]:off[i*n+j+1]]: the 1-based positions along
+	// route_i of the links route_i shares with route_j, increasing. One
+	// n×n offset index, row-major, into a single slab; empty when the
+	// routes share no link.
+	off, at []int32
+}
+
+// buildContention indexes the flows of every link, then walks each
+// route_i in order, appending each link's position to cd_ij for every
+// other flow j on the link — so each contention domain comes out ordered
+// along route_i, at the cost of the (link, flow, flow) incidences rather
+// than of n² route intersections.
+func buildContention(sys *traffic.System) *contention {
+	n := sys.NumFlows()
+	numLinks := sys.Topology().NumLinks()
+	c := &contention{n: n, linkOff: make([]int32, numLinks+1)}
+	for i := 0; i < n; i++ {
+		for _, l := range sys.Route(i) {
+			c.linkOff[l+1]++
+		}
+	}
+	slab := 0
+	for l := 0; l < numLinks; l++ {
+		f := int(c.linkOff[l+1])
+		slab += f * (f - 1)
+		c.linkOff[l+1] += c.linkOff[l]
+	}
+	c.linkFlows = make([]int32, c.linkOff[numLinks])
+	fill := append([]int32(nil), c.linkOff[:numLinks]...)
+	for i := 0; i < n; i++ {
+		for _, l := range sys.Route(i) {
+			c.linkFlows[fill[l]] = int32(i)
+			fill[l]++
+		}
+	}
+
+	c.off = make([]int32, n*n+1)
+	c.at = make([]int32, slab)
+	// Per row i: count the links route_i shares with each flow (epoch-
+	// stamped, so the counters are never cleared), lay the row's domains
+	// out in flow order, then walk route_i again to fill them.
+	stamp := make([]int32, n)
+	count := make([]int32, n)
+	touched := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		ep := int32(i + 1)
+		touched = touched[:0]
+		route := sys.Route(i)
+		for _, l := range route {
+			for _, j := range c.flowsOn(l) {
+				if stamp[j] != ep {
+					stamp[j], count[j] = ep, 0
+					touched = append(touched, j)
+				}
+				count[j]++
+			}
+		}
+		count[i] = 0 // a flow has no contention domain with itself
+		c.shared += len(touched) - 1
+		row := c.row(i)
+		for j := 0; j < n; j++ {
+			row[j+1] = row[j]
+			if stamp[j] == ep {
+				row[j+1] += count[j]
+			}
+		}
+		for _, j := range touched {
+			count[j] = row[j] // now the fill cursor
+		}
+		for p, l := range route {
+			for _, j := range c.flowsOn(l) {
+				if int(j) != i {
+					c.at[count[j]] = int32(p + 1)
+					count[j]++
+				}
+			}
+		}
+	}
+	return c
+}
+
+// flowsOn returns the flows crossing link l.
+func (c *contention) flowsOn(l noc.LinkID) []int32 {
+	return c.linkFlows[c.linkOff[l]:c.linkOff[l+1]]
+}
+
+// seg returns the positions of cd_ij along route_i.
+func (c *contention) seg(i, j int) []int32 {
+	p := i*c.n + j
+	return c.at[c.off[p]:c.off[p+1]]
+}
+
+// extent returns the first and last position of cd_ij along route_i;
+// cd_ij must be non-empty.
+func (c *contention) extent(i, j int) (lo, hi int32) {
+	p := i*c.n + j
+	return c.at[c.off[p]], c.at[c.off[p+1]-1]
+}
+
+// row returns the offsets of row i: cd_ij is empty exactly when
+// row[j+1] == row[j].
+func (c *contention) row(i int) []int32 { return c.off[i*c.n : (i+1)*c.n+1] }
+
+// size returns |cd_ij|.
+func (c *contention) size(i, j int) int {
+	p := i*c.n + j
+	return int(c.off[p+1] - c.off[p])
 }
 
 // BuildSets computes contention domains and the direct/indirect
 // interference sets for every flow of the system.
 func BuildSets(sys *traffic.System) *Sets {
-	n := sys.NumFlows()
-	cd := make([][]noc.Route, n)
-	// Link membership maps for fast intersection.
-	member := make([]map[noc.LinkID]struct{}, n)
-	for i := 0; i < n; i++ {
-		r := sys.Route(i)
-		m := make(map[noc.LinkID]struct{}, r.Len())
-		for _, l := range r {
-			m[l] = struct{}{}
-		}
-		member[i] = m
-	}
-	for i := 0; i < n; i++ {
-		cd[i] = make([]noc.Route, n)
-	}
-	for i := 0; i < n; i++ {
-		ri := sys.Route(i)
-		for j := i + 1; j < n; j++ {
-			var cdi noc.Route
-			for _, l := range ri {
-				if _, ok := member[j][l]; ok {
-					cdi = append(cdi, l)
-				}
-			}
-			if cdi != nil {
-				cd[i][j] = cdi
-				// The same set ordered along route_j.
-				cdj := make(noc.Route, 0, len(cdi))
-				for _, l := range sys.Route(j) {
-					if _, ok := member[i][l]; ok {
-						cdj = append(cdj, l)
-					}
-				}
-				cd[j][i] = cdj
-			}
-		}
-	}
-	return deriveSets(sys, cd)
+	return deriveSets(sys, buildContention(sys))
 }
 
 // deriveSets computes the priority-dependent structures (direct and
-// indirect sets, pair ranks) from a contention-domain matrix. The matrix
-// itself depends only on routes, so a priority reassignment can reuse it
-// wholesale and a single re-routed flow only needs its own row and
-// column refreshed — the basis of the incremental engine's cheap
-// structural edits (BuildSets at n=400 costs about as much as a full IBN
-// analysis, so rebuilding it per edit would forfeit the speedup).
-//
-// The rows of cd are adopted, not copied: callers hand over a matrix
-// they will not mutate afterwards.
-func deriveSets(sys *traffic.System, cd [][]noc.Route) *Sets {
+// indirect sets, pair ranks, the pair table) over the contention domains
+// of sys's routes. Priority reassignments reuse c wholesale; every other
+// structural edit rebuilds it, which costs less than deriving the sets.
+func deriveSets(sys *traffic.System, c *contention) *Sets {
 	n := sys.NumFlows()
+	prio := make([]int, n)
+	for i, f := range sys.Flows() {
+		prio[i] = f.Priority
+	}
+	// Priorities are unique, so exactly one flow of each sharing pair
+	// directly interferes with the other.
 	s := &Sets{
-		sys:      sys,
-		cd:       cd,
-		direct:   make([][]int, n),
-		indirect: make([][]int, n),
+		sys: sys, cd: c,
+		direct:      make([]int, 0, c.shared/2),
+		pairOffset:  make([]int, n+1),
+		indirectOff: make([]int32, n+1),
 	}
 	for i := 0; i < n; i++ {
+		row := c.row(i)
 		for j := 0; j < n; j++ {
-			if j != i && sys.HigherPriority(j, i) && len(s.cd[i][j]) > 0 {
-				s.direct[i] = append(s.direct[i], j)
+			if row[j+1] > row[j] && prio[j] < prio[i] {
+				s.direct = append(s.direct, j)
 			}
 		}
+		s.pairOffset[i+1] = len(s.direct)
 	}
-	// Epoch-stamped scratch arrays instead of per-flow maps: deriveSets
-	// reruns on every structural edit of the incremental engine (priority
-	// swaps, re-mappings), where the map-based pass dominated the Apply
-	// cost at n=400.
-	inDirect := make([]int, n)
+
+	// lo/hi hold the extent of every direct pair's contention domain
+	// along the lower-priority route.
+	p := len(s.direct)
+	lo, hi := make([]int32, p), make([]int32, p)
+	for i := 0; i < n; i++ {
+		for r := s.pairOffset[i]; r < s.pairOffset[i+1]; r++ {
+			lo[r], hi[r] = c.extent(i, s.direct[r])
+		}
+	}
+	// One pass over the triples i, j ∈ S^D_i, k ∈ S^D_j derives S^I and
+	// the pair table. Every k ∈ S^D_j outranks j and hence τi, so k is in
+	// S^D_i exactly when it shares a link with τi, and
+	//
+	//	S^I_i ∩ S^D_j = {k ∈ S^D_j : cd_ik = ∅},  S^I_i = ∪_j S^I_i ∩ S^D_j.
+	//
+	// Each such k is then placed upstream or downstream of cd_ij by where
+	// cd_jk (pair q) lies along route_j. seen is epoch-stamped.
+	s.upOff, s.downOff, s.via = make([]int32, p+1), make([]int32, p+1), make([]int32, p)
 	seen := make([]int, n)
 	for i := 0; i < n; i++ {
-		ep := i + 1
-		for _, j := range s.direct[i] {
-			inDirect[j] = ep
-		}
-		count := 0
-		for _, j := range s.direct[i] {
-			for _, k := range s.direct[j] {
-				if k != i && inDirect[k] != ep && seen[k] != ep {
+		ep, row, count := i+1, c.row(i), 0
+		for r := s.pairOffset[i]; r < s.pairOffset[i+1]; r++ {
+			j := s.direct[r]
+			ijLo, ijHi := c.extent(j, i)
+			via := int32(0)
+			for q := s.pairOffset[j]; q < s.pairOffset[j+1]; q++ {
+				k := s.direct[q]
+				if row[k+1] > row[k] {
+					continue // k ∈ S^D_i
+				}
+				via++
+				if seen[k] != ep {
 					seen[k] = ep
 					count++
 				}
-			}
-		}
-		if count > 0 {
-			s.indirect[i] = make([]int, 0, count)
-			for k := 0; k < n; k++ {
-				if seen[k] == ep {
-					s.indirect[i] = append(s.indirect[i], k)
+				switch {
+				case hi[q] < ijLo:
+					s.up = append(s.up, int32(q))
+				case lo[q] > ijHi:
+					s.down = append(s.down, int32(q))
 				}
 			}
+			s.via[r] = via
+			s.upOff[r+1], s.downOff[r+1] = int32(len(s.up)), int32(len(s.down))
 		}
-	}
-	s.pairOffset = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		s.pairOffset[i+1] = s.pairOffset[i] + len(s.direct[i])
+		for k := 0; count > 0; k++ {
+			if seen[k] == ep {
+				s.indirect = append(s.indirect, k)
+				count--
+			}
+		}
+		s.indirectOff[i+1] = int32(len(s.indirect))
 	}
 	return s
-}
-
-// cdPair intersects two routes: the shared links ordered along ri and,
-// when non-empty, the same set ordered along rj (BuildSets' convention).
-func cdPair(ri, rj noc.Route) (cdi, cdj noc.Route) {
-	member := make(map[noc.LinkID]struct{}, rj.Len())
-	for _, l := range rj {
-		member[l] = struct{}{}
-	}
-	for _, l := range ri {
-		if _, ok := member[l]; ok {
-			cdi = append(cdi, l)
-		}
-	}
-	if cdi == nil {
-		return nil, nil
-	}
-	mi := make(map[noc.LinkID]struct{}, ri.Len())
-	for _, l := range ri {
-		mi[l] = struct{}{}
-	}
-	cdj = make(noc.Route, 0, len(cdi))
-	for _, l := range rj {
-		if _, ok := mi[l]; ok {
-			cdj = append(cdj, l)
-		}
-	}
-	return cdi, cdj
 }
 
 // rebind returns a view of the sets over sys. Only valid when sys has
@@ -201,78 +286,9 @@ func (s *Sets) rebind(sys *traffic.System) *Sets {
 }
 
 // withPriorities re-derives the priority-dependent structures over sys,
-// reusing the contention-domain matrix (routes unchanged).
+// reusing the contention domains (routes unchanged).
 func (s *Sets) withPriorities(sys *traffic.System) *Sets {
 	return deriveSets(sys, s.cd)
-}
-
-// withRoute refreshes row and column k of the contention-domain matrix
-// (flow k was re-mapped in sys) and re-derives the sets. Rows whose
-// entry against k stays empty are shared outright with the original
-// matrix (rows are never mutated after derivation); only rows the
-// re-map actually touches are copied.
-func (s *Sets) withRoute(sys *traffic.System, k int) *Sets {
-	n := sys.NumFlows()
-	cd := make([][]noc.Route, n)
-	rk := sys.Route(k)
-	row := make([]noc.Route, n)
-	for i := 0; i < n; i++ {
-		if i == k {
-			cd[i] = row
-			continue
-		}
-		cdi, cdk := cdPair(sys.Route(i), rk)
-		row[i] = cdk
-		if cdi == nil && s.cd[i][k] == nil {
-			cd[i] = s.cd[i]
-			continue
-		}
-		cp := make([]noc.Route, n)
-		copy(cp, s.cd[i])
-		cp[k] = cdi
-		cd[i] = cp
-	}
-	return deriveSets(sys, cd)
-}
-
-// withFlowAppended extends the matrix with the new last flow of sys and
-// re-derives the sets. Rows of the surviving flows are extended copies;
-// their existing entries are shared.
-func (s *Sets) withFlowAppended(sys *traffic.System) *Sets {
-	n := sys.NumFlows()
-	k := n - 1
-	cd := make([][]noc.Route, n)
-	rk := sys.Route(k)
-	row := make([]noc.Route, n)
-	for i := 0; i < k; i++ {
-		cp := make([]noc.Route, n)
-		copy(cp, s.cd[i])
-		cdi, cdk := cdPair(sys.Route(i), rk)
-		cp[k] = cdi
-		row[i] = cdk
-		cd[i] = cp
-	}
-	cd[k] = row
-	return deriveSets(sys, cd)
-}
-
-// withFlowRemoved drops row and column k from the matrix (flow k was
-// removed from sys; flows above k shift down by one) and re-derives the
-// sets.
-func (s *Sets) withFlowRemoved(sys *traffic.System, k int) *Sets {
-	n := sys.NumFlows()
-	cd := make([][]noc.Route, n)
-	for i := 0; i < n; i++ {
-		oi := i
-		if oi >= k {
-			oi++
-		}
-		cp := make([]noc.Route, n)
-		copy(cp, s.cd[oi][:k])
-		copy(cp[k:], s.cd[oi][k+1:])
-		cd[i] = cp
-	}
-	return deriveSets(sys, cd)
 }
 
 // dependencyEdges calls fn(i, j) for every dependency edge of the
@@ -283,11 +299,11 @@ func (s *Sets) withFlowRemoved(sys *traffic.System, k int) *Sets {
 // their undirected closure — so a future change to what counts as a
 // dependency cannot desynchronise the two.
 func (s *Sets) dependencyEdges(fn func(i, j int)) {
-	for i := range s.direct {
-		for _, j := range s.direct[i] {
+	for i := 0; i < s.cd.n; i++ {
+		for _, j := range s.Direct(i) {
 			fn(i, j)
 		}
-		for _, j := range s.indirect[i] {
+		for _, j := range s.Indirect(i) {
 			fn(i, j)
 		}
 	}
@@ -309,7 +325,7 @@ func (s *Sets) dependencyEdges(fn func(i, j int)) {
 // deterministic. Flows with no dependency edges form singleton
 // clusters.
 func (s *Sets) Clusters() [][]int {
-	n := len(s.direct)
+	n := s.cd.n
 	// Union-find over flow indices; dependency edges are the union ops.
 	parent := make([]int, n)
 	for i := range parent {
@@ -353,96 +369,95 @@ func (s *Sets) Clusters() [][]int {
 }
 
 // numPairs returns the total number of (direct interferer, flow) pairs —
-// the size of the engine's memo arenas.
-func (s *Sets) numPairs() int { return s.pairOffset[len(s.pairOffset)-1] }
+// the size of the engine's memo arenas and of the pair table.
+func (s *Sets) numPairs() int { return len(s.direct) }
+
+// rank returns the dense rank of the pair (j, i) and whether j ∈ S^D_i.
+func (s *Sets) rank(j, i int) (int, bool) {
+	d := s.Direct(i)
+	k := sort.SearchInts(d, j)
+	return s.pairOffset[i] + k, k < len(d) && d[k] == j
+}
 
 // pairRank maps a memo key (j, i), with j a direct interferer of τi, to
 // its dense rank in [0, numPairs()).
 func (s *Sets) pairRank(j, i int) int {
-	d := s.direct[i]
-	k := sort.SearchInts(d, j)
-	if k == len(d) || d[k] != j {
+	r, ok := s.rank(j, i)
+	if !ok {
 		panic("core: memo key is not a direct-interference pair")
 	}
-	return s.pairOffset[i] + k
+	return r
 }
+
+// downstream returns S^downj_Ii for the pair (j, i) of rank r, as the
+// ranks of the pairs (k, j) (shared storage).
+func (s *Sets) downstream(r int) []int32 { return s.down[s.downOff[r]:s.downOff[r+1]] }
+
+// hasUpstream reports whether S^upj_Ii is non-empty for the pair of rank r.
+func (s *Sets) hasUpstream(r int) bool { return s.upOff[r+1] > s.upOff[r] }
+
+// hasIndirectVia reports whether S^I_i ∩ S^D_j is non-empty for the pair
+// of rank r, i.e. whether τj can pass indirect interference on to τi.
+func (s *Sets) hasIndirectVia(r int) bool { return s.via[r] > 0 }
 
 // CD returns the contention domain cd_ij (links shared by route_i and
 // route_j), ordered along route_i. The result is nil when the flows do
-// not share links. The returned slice must not be modified.
-func (s *Sets) CD(i, j int) noc.Route { return s.cd[i][j] }
+// not share links. The caller owns the returned slice.
+func (s *Sets) CD(i, j int) noc.Route {
+	seg := s.cd.seg(i, j)
+	if len(seg) == 0 {
+		return nil
+	}
+	route := s.sys.Route(i)
+	out := make(noc.Route, len(seg))
+	for x, p := range seg {
+		out[x] = route[p-1]
+	}
+	return out
+}
 
 // Direct returns S^D_i, the direct interference set of flow i: every
 // flow with a higher priority and a non-empty contention domain with τi.
-func (s *Sets) Direct(i int) []int { return s.direct[i] }
+// The returned slice must not be modified.
+func (s *Sets) Direct(i int) []int {
+	a, b := s.pairOffset[i], s.pairOffset[i+1]
+	return s.direct[a:b:b]
+}
 
 // Indirect returns S^I_i, the indirect interference set of flow i: flows
-// that interfere with a member of S^D_i but not with τi itself.
-func (s *Sets) Indirect(i int) []int { return s.indirect[i] }
-
-// orderRange returns the smallest and largest order (1-based position)
-// that the links of cd occupy along route r. cd must be non-empty and a
-// subset of r.
-func orderRange(r noc.Route, cd noc.Route) (lo, hi int) {
-	lo, hi = 0, 0
-	for _, l := range cd {
-		o := r.Order(l)
-		if o == 0 {
-			continue
-		}
-		if lo == 0 || o < lo {
-			lo = o
-		}
-		if o > hi {
-			hi = o
-		}
-	}
-	return lo, hi
+// that interfere with a member of S^D_i but not with τi itself. The
+// returned slice must not be modified.
+func (s *Sets) Indirect(i int) []int {
+	a, b := s.indirectOff[i], s.indirectOff[i+1]
+	return s.indirect[a:b:b]
 }
 
 // Upstream returns S^upj_Ii: the flows τk ∈ S^I_i ∩ S^D_j whose
 // contention domain with τj lies strictly upstream (along route_j) of
 // cd_ij, i.e. order(last(cd_jk), route_j) < order(first(cd_ij), route_j).
 // Such flows delay τj before it reaches the links it shares with τi.
-func (s *Sets) Upstream(i, j int) []int {
-	return s.partition(i, j, true)
-}
+// The partition is defined for τj ∈ S^D_i; it is nil for any other j.
+// The caller owns the returned slice.
+func (s *Sets) Upstream(i, j int) []int { return s.partition(s.up, s.upOff, i, j) }
 
 // Downstream returns S^downj_Ii: the flows τk ∈ S^I_i ∩ S^D_j whose
 // contention domain with τj lies strictly downstream (along route_j) of
 // cd_ij, i.e. order(first(cd_jk), route_j) > order(last(cd_ij), route_j).
 // Such flows block τj after it has passed τi's links — the trigger of
-// multi-point progressive blocking.
-func (s *Sets) Downstream(i, j int) []int {
-	return s.partition(i, j, false)
-}
+// multi-point progressive blocking. The partition is defined for
+// τj ∈ S^D_i; it is nil for any other j. The caller owns the returned
+// slice.
+func (s *Sets) Downstream(i, j int) []int { return s.partition(s.down, s.downOff, i, j) }
 
-func (s *Sets) partition(i, j int, upstream bool) []int {
-	cdij := s.cd[j][i] // cd_ij ordered along route_j
-	if len(cdij) == 0 {
+// partition copies one side of the pair table's partition for (j, i).
+func (s *Sets) partition(list, off []int32, i, j int) []int {
+	r, ok := s.rank(j, i)
+	if !ok || off[r] == off[r+1] {
 		return nil
 	}
-	rj := s.sys.Route(j)
-	ijLo, ijHi := orderRange(rj, cdij)
-	var out []int
-	for _, k := range s.indirect[i] {
-		if !s.sys.HigherPriority(k, j) {
-			continue // k ∉ S^D_j
-		}
-		cdjk := s.cd[j][k]
-		if len(cdjk) == 0 {
-			continue // k ∉ S^D_j
-		}
-		jkLo, jkHi := orderRange(rj, cdjk)
-		if upstream {
-			if jkHi < ijLo {
-				out = append(out, k)
-			}
-		} else {
-			if jkLo > ijHi {
-				out = append(out, k)
-			}
-		}
+	out := make([]int, 0, off[r+1]-off[r])
+	for _, q := range list[off[r]:off[r+1]] {
+		out = append(out, s.direct[q])
 	}
 	return out
 }
@@ -462,5 +477,5 @@ func (s *Sets) BufferedInterference(i, j, bufDepth int) noc.Cycles {
 	if bufDepth > 0 {
 		buf = bufDepth
 	}
-	return noc.Cycles(buf) * cfg.LinkLatency * noc.Cycles(len(s.cd[i][j]))
+	return noc.Cycles(buf) * cfg.LinkLatency * noc.Cycles(s.cd.size(i, j))
 }

@@ -7,6 +7,7 @@ import (
 	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
 	"wormnoc/internal/traffic"
+	"wormnoc/internal/workload"
 )
 
 // lineSystem builds flows on a 10-router line; each spec is
@@ -286,4 +287,86 @@ func TestClusters(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReturnedSlicesAreCallerOwned guards the pair table's shared
+// storage: the partitions handed out by Sets.Upstream/Downstream and by
+// Explain's terms, and the domains from Sets.CD, are the caller's to
+// scribble over. Overwriting every one of them and re-analysing with the
+// same engine must change no bound and no later breakdown.
+func TestReturnedSlicesAreCallerOwned(t *testing.T) {
+	topo := noc.MustMesh(4, 4, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
+	sys, err := workload.Synthetic(topo, workload.SynthConfig{NumFlows: 60, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(sys)
+	sets := eng.Sets()
+	methods := []core.Method{core.SB, core.XLWX, core.IBN}
+	analyzeAll := func() []*core.Result {
+		out := make([]*core.Result, len(methods))
+		for x, m := range methods {
+			res, err := eng.Analyze(core.Options{Method: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[x] = res
+		}
+		return out
+	}
+	explainAll := func() []*core.Breakdown {
+		var out []*core.Breakdown
+		for i := 0; i < sys.NumFlows(); i++ {
+			b, err := eng.Explain(core.Options{Method: core.IBN}, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	scribble := func(s []int) int {
+		for x := range s {
+			s[x] = -1 - x
+		}
+		return len(s)
+	}
+	before, breakdowns := analyzeAll(), explainAll()
+	reference := explainAll()
+
+	mutated := 0
+	for _, b := range breakdowns {
+		for _, tm := range b.Terms {
+			mutated += scribble(tm.Downstream) + scribble(tm.Upstream)
+		}
+	}
+	for i := 0; i < sys.NumFlows(); i++ {
+		for _, j := range sets.Direct(i) {
+			mutated += scribble(sets.Upstream(i, j)) + scribble(sets.Downstream(i, j))
+			cd := sets.CD(i, j)
+			for x := range cd {
+				cd[x] = noc.NoLink
+			}
+		}
+	}
+	if mutated == 0 {
+		t.Fatal("no non-empty partition was handed out: the guard is vacuous")
+	}
+
+	for x, res := range analyzeAll() {
+		requireSameResult(t, "after mutation "+methods[x].String(), res, before[x])
+	}
+	for i, b := range explainAll() {
+		want := reference[i]
+		if len(b.Terms) != len(want.Terms) {
+			t.Fatalf("flow %d: %d terms after mutation, %d before", i, len(b.Terms), len(want.Terms))
+		}
+		for x := range b.Terms {
+			got, ref := b.Terms[x], want.Terms[x]
+			if !sameInts(got.Downstream, ref.Downstream) || !sameInts(got.Upstream, ref.Upstream) ||
+				got.Total != ref.Total || got.ContentionDomain != ref.ContentionDomain {
+				t.Errorf("flow %d term %d changed after mutation: %+v, want %+v", i, x, got, ref)
+			}
+		}
+	}
 }
