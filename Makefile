@@ -5,9 +5,11 @@
 #   results/BENCH_sim.json      — simulator & engine benchmarks, incl.
 #                                 the before/after pairs of the retained
 #                                 reference engine vs the event-driven
-#                                 engine per load scenario and of the
+#                                 engine per load scenario, of the
 #                                 sequential vs batched (RunMany)
-#                                 scenario-campaign runner
+#                                 scenario-campaign runner and of
+#                                 full-horizon vs target-scoped
+#                                 phasing-search probes
 #   results/BENCH_analysis.json — analysis-side benchmarks (fixed-point
 #                                 scaling, set construction, Table II
 #                                 columns) and the scratch-vs-incremental
@@ -33,11 +35,11 @@
 #                                 states/op metrics carry the state-
 #                                 count reduction behind it.
 #
-# For bench-analysis and bench-exhaustive, when a committed baseline
-# already exists, the regenerated pair speedups are gated against it: a
+# For every target but bench-serve, when a committed baseline already
+# exists, the regenerated pair speedups are gated against it: a
 # drop of more than MAXREGRESS fails the target (exit 3 from benchjson)
-# and leaves the committed file untouched, so CI catches an incremental
-# engine or a reduction that quietly stopped paying off.
+# and leaves the committed file untouched, so CI catches an engine, an
+# incremental path or a reduction that quietly stopped paying off.
 #
 # BENCHTIME/COUNT tune fidelity vs wall time; CI uses the defaults and
 # uploads the files as artifacts.
@@ -54,10 +56,20 @@ bench-sim:
 	@mkdir -p results
 	{ \
 	  go test -run=NONE -count=$(COUNT) -benchtime=$(BENCHTIME) -benchmem \
-	    -bench 'BenchmarkSimulator$$|BenchmarkSimulatorMeshScaling$$|BenchmarkWorstCaseSearch$$' . ; \
+	    -bench 'BenchmarkSimulator$$|BenchmarkSimulatorMeshScaling$$|BenchmarkWorstCaseSearch$$' . && \
 	  go test -run=NONE -count=$(COUNT) -benchtime=$(BENCHTIME) -benchmem \
-	    -bench 'BenchmarkEngine|BenchmarkRunMany' ./internal/sim ; \
-	} | go run ./cmd/benchjson -out results/BENCH_sim.json
+	    -bench 'BenchmarkEngine|BenchmarkRunMany|BenchmarkSearchProbe' ./internal/sim ; \
+	} > results/.bench_sim.txt
+	@if [ -f results/BENCH_sim.json ]; then \
+	  go run ./cmd/benchjson -in results/.bench_sim.txt \
+	    -out results/.bench_sim.json.new \
+	    -baseline results/BENCH_sim.json -max-regress $(MAXREGRESS); \
+	else \
+	  go run ./cmd/benchjson -in results/.bench_sim.txt \
+	    -out results/.bench_sim.json.new; \
+	fi
+	@mv results/.bench_sim.json.new results/BENCH_sim.json
+	@rm -f results/.bench_sim.txt
 	@echo wrote results/BENCH_sim.json
 
 bench-analysis:

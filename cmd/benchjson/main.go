@@ -13,6 +13,9 @@
 // and any BenchmarkRunManySequential/<scenario> pairs with
 // BenchmarkRunMany/<scenario> for the scenario throughput of the batch
 // runner over one-at-a-time engine runs, and any
+// BenchmarkSearchProbeFull/<scenario> pairs with
+// BenchmarkSearchProbeScoped/<scenario> for the phasing search's
+// target-scoped probes over full-horizon ones, and any
 // BenchmarkExhaustiveRaw/<scenario> pairs with
 // BenchmarkExhaustiveReduced/<scenario> for the explicit-state
 // backend's symmetry/cluster reductions over the raw grid — the
@@ -292,6 +295,7 @@ var pairPrefixes = []struct{ before, after string }{
 	{"BenchmarkEngineReference/", "BenchmarkEngine/"},
 	{"BenchmarkWhatIfScratch/", "BenchmarkWhatIfIncremental/"},
 	{"BenchmarkRunManySequential/", "BenchmarkRunMany/"},
+	{"BenchmarkSearchProbeFull/", "BenchmarkSearchProbeScoped/"},
 	// The exhaustive backend's raw-grid enumeration vs the symmetry-
 	// quotiented, cluster-decomposed one (results/BENCH_exhaustive.json,
 	// Makefile `bench-exhaustive`). The states/op metric on each record

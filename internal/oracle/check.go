@@ -65,6 +65,11 @@ type CheckConfig struct {
 	// violation, proving the invariants have teeth. Never set on real
 	// verification runs (it is unexported and unserialised on purpose).
 	mutate func(m core.Method, flow int, r noc.Cycles) noc.Cycles
+	// search, when non-nil, replaces sim.SearchWorstCase in the attack.
+	// Like mutate it exists solely for the mutation self-test: a search
+	// whose scoped probes stop too early must trip the
+	// search-replay-agrees invariant.
+	search func(*traffic.System, sim.SearchConfig) (*sim.SearchResult, error)
 }
 
 func (c *CheckConfig) setDefaults() {
@@ -103,8 +108,10 @@ const (
 	NonDeterministic
 	// Divergent: the event-driven simulation engine disagreed with the
 	// retained cycle-scanning reference engine (or a reused Engine
-	// disagreed with a fresh one) when replaying a worst-case phasing.
-	// The two engines are bit-identical by construction; any divergence
+	// disagreed with a fresh one) when replaying a worst-case phasing,
+	// or the full-horizon replay did not reproduce the worst latency the
+	// search's target-scoped probes reported (search-replay-agrees).
+	// The engines are bit-identical by construction; any divergence
 	// is a simulator bug that silently poisons every sim-based
 	// invariant, so it is reported as a violation in its own class.
 	Divergent
@@ -366,6 +373,10 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 		}
 	}
 	attacks := make([]attack, sys.NumFlows())
+	search := sim.SearchWorstCase
+	if cfg.search != nil {
+		search = cfg.search
+	}
 	var mu sync.Mutex
 	runner := &parallel.Runner{Workers: cfg.Workers}
 	err = runner.Run(sys.NumFlows(), func(target int) error {
@@ -382,7 +393,7 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 			mu.Unlock()
 			return nil
 		}
-		search, err := sim.SearchWorstCase(sys, sim.SearchConfig{
+		found, err := search(sys, sim.SearchConfig{
 			Base: sim.Config{
 				Duration:     cfg.Duration,
 				InjectJitter: anyJitter,
@@ -402,7 +413,7 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 			return err
 		}
 		mu.Lock()
-		attacks[target] = attack{worst: search.Worst, offsets: search.Offsets, runs: search.Runs}
+		attacks[target] = attack{worst: found.Worst, offsets: found.Offsets, runs: found.Runs}
 		mu.Unlock()
 		return nil
 	})
@@ -413,15 +424,16 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 	// Invariant: simulation-engine agreement. Replay every attacked
 	// flow's worst phasing through the event-driven engine (fresh and
 	// reused) and the retained cycle-scanning reference engine; the
-	// three must agree bit for bit, or every sim-based verdict above is
-	// built on sand (DESIGN.md §10).
+	// three must agree bit for bit, and with the worst latency the
+	// search's target-scoped probes reported, or every sim-based verdict
+	// above is built on sand (DESIGN.md §10).
 	simEng := sim.NewEngine(sys)
 	for target, at := range attacks {
 		if at.skipped {
 			continue
 		}
 		rep.Violations = append(rep.Violations,
-			checkEngineAgreement(sys, simEng, target, sim.Config{
+			checkEngineAgreement(sys, simEng, target, at.worst, sim.Config{
 				Duration:     cfg.Duration,
 				Offsets:      at.offsets,
 				InjectJitter: anyJitter,
@@ -492,11 +504,13 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 	return rep, nil
 }
 
-// checkEngineAgreement replays one phasing through the retained
-// reference engine, a fresh event-driven run and the reused engine, and
-// reports a Divergent violation per flow whose observed worst latency
-// differs (plus one if the aggregate counters disagree).
-func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, runCfg sim.Config) []Violation {
+// checkEngineAgreement replays target's worst phasing through the
+// retained reference engine, a fresh event-driven run and the reused
+// engine, and reports a Divergent violation per flow whose observed
+// worst latency differs (plus one if the aggregate counters disagree),
+// and one if the full-horizon replay does not reproduce searchWorst,
+// the worst latency the search's target-scoped probes reported.
+func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, searchWorst noc.Cycles, runCfg sim.Config) []Violation {
 	ref, err := sim.RunReference(sys, runCfg)
 	if err != nil {
 		return []Violation{divergence(target, -1, -1,
@@ -513,6 +527,13 @@ func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, r
 			fmt.Sprintf("reused event-driven engine failed on replay: %v", err))}
 	}
 	var out []Violation
+	if ref.WorstLatency[target] != searchWorst {
+		v := divergence(target, ref.WorstLatency[target], searchWorst,
+			fmt.Sprintf("the phasing search reported %d, its full-horizon replay observes %d",
+				searchWorst, ref.WorstLatency[target]))
+		v.Invariant = "search-replay-agrees"
+		out = append(out, v)
+	}
 	for i := range ref.WorstLatency {
 		if fresh.WorstLatency[i] != ref.WorstLatency[i] {
 			out = append(out, divergence(i, ref.WorstLatency[i], fresh.WorstLatency[i],

@@ -6,6 +6,8 @@ import (
 
 	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
+	"wormnoc/internal/sim"
+	"wormnoc/internal/traffic"
 	"wormnoc/internal/workload"
 )
 
@@ -186,6 +188,77 @@ func TestMutationIncrementalDivergenceIsCaughtAndShrunk(t *testing.T) {
 	}
 	if reproduced {
 		t.Errorf("replay against the healthy engine reproduced the mutation's divergence: %v", replayRep.Violations)
+	}
+}
+
+// stopOneEarly stands in for a phasing search whose target-scoped
+// probes stop one completion too early: the worst latency it reports
+// for its phasing omits the target's last completed packet.
+func stopOneEarly(sys *traffic.System, cfg sim.SearchConfig) (*sim.SearchResult, error) {
+	res, err := sim.SearchWorstCase(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
+	run := cfg.Base
+	run.Offsets = res.Offsets
+	run.RecordLatencies = true
+	full, err := sim.Run(sys, run)
+	if err != nil {
+		return nil, err
+	}
+	lats := full.Latencies[cfg.Target]
+	res.Worst = -1
+	if len(lats) > 0 {
+		for _, l := range lats[:len(lats)-1] {
+			res.Worst = max(res.Worst, l)
+		}
+	}
+	return res, nil
+}
+
+// A search that stops its probes one completion early under-reports
+// the target's worst latency, which no bound comparison can notice: the
+// full-horizon replay of its phasing must disagree with it, be reported
+// Divergent, and shrink to a replayable counterexample.
+func TestMutationEarlyStopIsCaughtAndShrunk(t *testing.T) {
+	sc := didacticScenario()
+	// Over a 5000-cycle horizon τ3 (period 6000) completes exactly one
+	// packet, so losing the last completion loses its whole row.
+	cfg := CheckConfig{Seed: 1, Duration: 5_000, search: stopOneEarly}
+	rep, err := Check(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var caught *Violation
+	for i := range rep.Violations {
+		if rep.Violations[i].Class == Divergent && rep.Violations[i].Invariant == "search-replay-agrees" {
+			caught = &rep.Violations[i]
+			break
+		}
+	}
+	if caught == nil {
+		t.Fatalf("early-stopping search went undetected; violations: %v", rep.Violations)
+	}
+	if caught.Observed >= caught.Bound {
+		t.Fatalf("violation does not witness the lost completion: search %d, replay %d", caught.Observed, caught.Bound)
+	}
+
+	shrunk, err := Shrink(sc, *caught, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shrunk.Reductions == 0 {
+		t.Error("shrinker made no reduction on the 3-flow didactic scenario")
+	}
+	if FindViolation(shrunk.Report, *caught) == nil {
+		t.Error("shrunk scenario no longer exhibits the violation")
+	}
+	// Replay runs the real search: the violation must not reproduce.
+	art := NewArtifact(shrunk.Scenario, cfg, *FindViolation(shrunk.Report, *caught), shrunk)
+	if _, reproduced, err := art.Replay(); err != nil {
+		t.Fatal(err)
+	} else if reproduced {
+		t.Error("replay with the real search reproduced the early stop's divergence")
 	}
 }
 

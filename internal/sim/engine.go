@@ -190,7 +190,7 @@ type Engine struct {
 	released    []int
 	pktSeq      []int
 	pending     []cycQueue // jittered releases not yet due, time-ordered
-	jitter      *rand.Rand
+	jitter      *rand.Rand // over a jitterStream
 
 	// arrivals is a FIFO of in-transit flits; since every transfer takes
 	// exactly linkl cycles, arrivals complete in submission order.
@@ -238,6 +238,11 @@ type Engine struct {
 	res       *Result
 	inFlight  int
 	flitsLive int // flits inside FIFOs or in transit
+
+	// stop is set once a target-scoped run's target can no longer
+	// complete a packet inside the horizon (see targetDone); the main
+	// loop then exits at the top of the next cycle.
+	stop bool
 }
 
 // NewEngine builds a reusable event-driven engine for sys. The engine
@@ -263,7 +268,7 @@ func NewEngine(sys *traffic.System) *Engine {
 		released:    make([]int, n),
 		pktSeq:      make([]int, n),
 		pending:     make([]cycQueue, n),
-		jitter:      rand.New(rand.NewSource(0)),
+		jitter:      rand.New(new(jitterStream)),
 		dirty:       make([]bool, topo.NumLinks()),
 		linkWakeAt:  make([]noc.Cycles, topo.NumLinks()),
 		fastOK:      rc.LinkLatency == 1 && rc.RouteLatency == 0,
@@ -375,6 +380,22 @@ func (e *Engine) reset(cfg Config) {
 	e.traceBuf = e.traceBuf[:0]
 	e.inFlight = 0
 	e.flitsLive = 0
+	// A target first released at or past the horizon has nothing to
+	// observe.
+	e.stop = cfg.stopFlow > 0 && e.targetDone(cfg.stopFlow-1)
+}
+
+// targetDone reports whether flow f, the target of a scoped run, can no
+// longer complete a packet inside the horizon: every periodic tick it
+// had so far was released and completed (released counts ticks, so
+// jittered releases still pending keep it false), and no tick remains
+// before the horizon or under the packet cap. Latency is measured from
+// the jittered release and jitter only delays a release, so from then
+// on the flow's Result row is final.
+func (e *Engine) targetDone(f int) bool {
+	return e.released[f] == e.res.Completed[f] &&
+		(e.nextRelease[f] >= e.cfg.Duration ||
+			e.cfg.MaxPacketsPerFlow > 0 && e.released[f] >= e.cfg.MaxPacketsPerFlow)
 }
 
 // run is the event-driven main loop. Each executed cycle does the same
@@ -384,12 +405,15 @@ func (e *Engine) reset(cfg Config) {
 // entry is due, links are only arbitrated when marked dirty, and when a
 // cycle ends with nothing dirty, t jumps straight to the next event
 // (earliest arrival, release, or link wakeup) — by construction no
-// state can change in between, so the skip is unobservable.
+// state can change in between, so the skip is unobservable. A
+// target-scoped run ends at the top of the cycle after its target is
+// done.
 func (e *Engine) run() {
 	for i := 0; i < e.n; i++ {
 		e.relPush(e.nextRelease[i], int32(i))
 	}
-	for t := noc.Cycles(0); t < e.cfg.Duration; t++ {
+	t := noc.Cycles(0)
+	for ; t < e.cfg.Duration && !e.stop; t++ {
 		// 1. Deliver flits whose link traversal completes at t. Each
 		// delivery marks the link the landing FIFO feeds as dirty.
 		for e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at <= t {
@@ -424,6 +448,9 @@ func (e *Engine) run() {
 		// 4. Cycle skip: if no link's inputs changed, arbitration at t
 		// (and at every cycle before the next event) is a no-op.
 		if len(e.dirtyList) == 0 {
+			if e.stop {
+				continue // end at t+1, not after a skip
+			}
 			next := e.cfg.Duration
 			if e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at < next {
 				next = e.arrivals[e.arrivalHead].at
@@ -487,10 +514,13 @@ func (e *Engine) run() {
 		// cycles (no release due, every winner keeps flits and credits,
 		// every blocked contender stays blocked), apply those m cycles
 		// in one bulk step and jump t forward (DESIGN.md §13).
-		if e.fastOK && e.cfg.TraceWriter == nil && len(e.transfers) > 0 {
+		if e.fastOK && e.cfg.TraceWriter == nil && len(e.transfers) > 0 && !e.stop {
 			t += e.tryLockBatch(t)
 		}
 		e.prevTransfers = append(e.prevTransfers[:0], e.transfers...)
+	}
+	if e.cfg.stopFlow > 0 {
+		e.res.Stats.StoppedAt = t
 	}
 	e.res.InFlight = e.inFlight
 	e.flushTrace()
@@ -675,6 +705,9 @@ func (e *Engine) completePacket(flow int, p *packet, at noc.Cycles) {
 		e.res.Latencies[flow] = append(e.res.Latencies[flow], lat)
 	}
 	e.free = append(e.free, p)
+	if flow == e.cfg.stopFlow-1 && e.targetDone(flow) {
+		e.stop = true
+	}
 }
 
 // isWinner reports whether (flow, hop) is in the current transfer set.

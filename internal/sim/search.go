@@ -56,19 +56,27 @@ type SearchConfig struct {
 type SearchResult struct {
 	// Worst is the maximum observed latency of the target flow.
 	Worst noc.Cycles
-	// Offsets is the phasing achieving it.
+	// Offsets is the phasing achieving it (the first restart's when no
+	// target packet ever completed). Replaying it over the full horizon
+	// observes exactly Worst for the target.
 	Offsets []noc.Cycles
-	// Runs counts simulations performed.
+	// Runs counts simulations performed, early-stopped probes included.
 	Runs int
 }
 
 // SearchWorstCase runs the randomised phasing search.
 //
 // The search is the simulator's hottest client — thousands of runs per
-// invocation — so it recycles aggressively: probe batches go through
-// RunMany with persistent per-worker engine slots (one reusable Engine
-// per worker for the whole search), fixed candidate-offset buffers, and
-// engine-owned results. A probe costs zero allocations in steady state.
+// invocation — so it recycles aggressively: every probe, restarts and
+// refinement batches alike, goes through RunMany with persistent
+// per-worker engine slots (one reusable Engine per worker for the whole
+// search), fixed candidate-offset buffers, and engine-owned results. A
+// probe costs zero allocations in steady state.
+//
+// Probes are target-scoped: each ends as soon as the target can no
+// longer complete a packet inside Base.Duration, often long before the
+// horizon, because the probe reads only the target's worst latency and
+// that is final by then (DESIGN.md §10). Runs still counts every probe.
 // The result depends only on the configuration and seed, never on the
 // worker count.
 func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, error) {
@@ -97,21 +105,11 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	}
 
 	best := &SearchResult{Worst: -1, Offsets: make([]noc.Cycles, n)}
-	seqEngine := NewEngine(sys)
-	evaluate := func(offsets []noc.Cycles) (noc.Cycles, error) {
-		run := cfg.Base
-		run.Offsets = offsets
-		res, err := seqEngine.Run(run)
-		if err != nil {
-			return -1, err
-		}
-		best.Runs++
-		return res.WorstLatency[cfg.Target], nil
-	}
 
-	// Candidate-offset buffers and probe specs, reused for every
-	// refinement batch, and persistent engine slots handed to RunMany so
-	// each worker keeps one warm Engine across all batches.
+	// Candidate-offset buffers and target-scoped probe specs, reused for
+	// every batch (a restart probe is a batch of one in slot 0), and
+	// persistent engine slots handed to RunMany so each worker keeps one
+	// warm Engine across all batches.
 	cands := make([][]noc.Cycles, cfg.ProbesPerFlow)
 	candStore := make([]noc.Cycles, cfg.ProbesPerFlow*n)
 	for i := range cands {
@@ -123,6 +121,7 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 		specs[i].Sys = sys
 		specs[i].Cfg = cfg.Base
 		specs[i].Cfg.Offsets = cands[i]
+		specs[i].Cfg.stopFlow = cfg.Target + 1
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -147,23 +146,21 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	}
 
 	cur := make([]noc.Cycles, n)
-	randomOffsets := func() {
-		for i := 0; i < n; i++ {
-			cur[i] = noc.Cycles(rng.Int63n(int64(sys.Flow(i).Period)))
-		}
-		cur[cfg.Target] = 0 // measure the target from a fixed phase
-	}
-
 	for restart := 0; restart < cfg.Restarts; restart++ {
+		start := cands[0]
 		if restart == 0 && cfg.Base.Offsets != nil {
-			copy(cur, cfg.Base.Offsets)
+			copy(start, cfg.Base.Offsets)
 		} else {
-			randomOffsets()
+			for i := 0; i < n; i++ {
+				start[i] = noc.Cycles(rng.Int63n(int64(sys.Flow(i).Period)))
+			}
+			start[cfg.Target] = 0 // measure the target from a fixed phase
 		}
-		curWorst, err := evaluate(cur)
-		if err != nil {
+		if err := evalBatch(1); err != nil {
 			return nil, err
 		}
+		curWorst := out[0]
+		copy(cur, start)
 		for pass := 0; pass < cfg.RefineSteps; pass++ {
 			improved := false
 			for f := 0; f < n; f++ {
@@ -190,7 +187,7 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 				break
 			}
 		}
-		if curWorst > best.Worst {
+		if restart == 0 || curWorst > best.Worst {
 			best.Worst = curWorst
 			copy(best.Offsets, cur)
 		}

@@ -1,11 +1,16 @@
 package sim_test
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
+	"wormnoc/internal/oracle"
 	"wormnoc/internal/sim"
+	"wormnoc/internal/traffic"
 	"wormnoc/internal/workload"
 )
 
@@ -60,6 +65,18 @@ func TestSearchWorstCaseDeterministic(t *testing.T) {
 	if a.Worst != b.Worst || a.Runs != b.Runs {
 		t.Errorf("search not deterministic: %+v vs %+v", a, b)
 	}
+	// Restart probes and refinement batches share the worker slots, so
+	// the worker count must not leak into the result.
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		got, err := sim.SearchWorstCase(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Worst != a.Worst || got.Runs != a.Runs || !reflect.DeepEqual(got.Offsets, a.Offsets) {
+			t.Errorf("Workers=%d: search gave %+v, default workers %+v", workers, got, a)
+		}
+	}
 }
 
 func TestSearchWorstCaseErrors(t *testing.T) {
@@ -102,6 +119,102 @@ func TestSearchRespectsIBNOnRandomScenario(t *testing.T) {
 		if res.Worst > ibn.R(target) {
 			t.Errorf("flow %d: adversarial search found %d beyond IBN bound %d",
 				target, res.Worst, ibn.R(target))
+		}
+	}
+}
+
+// probeScenario is one BenchmarkSearchProbe* workload: an oracle-
+// distribution system under the oracle's default 12 000-cycle horizon
+// and 64 probe phasings drawn the way SearchWorstCase draws them (the
+// target at offset 0, every other flow uniform over its period), the
+// targets cycling through the flows.
+type probeScenario struct {
+	name    string
+	sys     *traffic.System
+	cfgs    []sim.Config
+	targets []int
+}
+
+func probeScenarios(b testing.TB) []probeScenario {
+	var out []probeScenario
+	for i := int64(0); i < 4; i++ {
+		seed := oracle.DeriveSeed(0x9B0E, i)
+		sys, err := oracle.Generate(seed, oracle.GenConfig{}).System()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := sys.NumFlows()
+		jitter := false
+		for f := 0; f < n; f++ {
+			jitter = jitter || sys.Flow(f).Jitter > 0
+		}
+		rng := rand.New(rand.NewSource(seed))
+		sc := probeScenario{name: fmt.Sprintf("oracle%d", i), sys: sys}
+		for p := 0; p < 64; p++ {
+			target := p % n
+			offs := make([]noc.Cycles, n)
+			for f := range offs {
+				if f != target {
+					offs[f] = noc.Cycles(rng.Int63n(int64(sys.Flow(f).Period)))
+				}
+			}
+			sc.cfgs = append(sc.cfgs, sim.Config{Duration: 12_000, Offsets: offs, InjectJitter: jitter, JitterSeed: seed})
+			sc.targets = append(sc.targets, target)
+		}
+		out = append(out, sc)
+	}
+	return out
+}
+
+func benchProbes(b *testing.B, scoped bool) {
+	for _, sc := range probeScenarios(b) {
+		b.Run(sc.name, func(b *testing.B) {
+			cfgs := sc.cfgs
+			if scoped {
+				cfgs = make([]sim.Config, len(sc.cfgs))
+				for p, cfg := range sc.cfgs {
+					cfgs[p] = sim.Scoped(cfg, sc.targets[p])
+				}
+			}
+			eng := sim.NewEngine(sc.sys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(cfgs[i%len(cfgs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSearchProbeFull is the "before" of the search-probe pair:
+// phasing-search probes simulated over the full horizon, the way every
+// probe ran before probes were target-scoped.
+func BenchmarkSearchProbeFull(b *testing.B) { benchProbes(b, false) }
+
+// BenchmarkSearchProbeScoped measures the same probes target-scoped, as
+// SearchWorstCase runs them: each ends once its target can no longer
+// complete a packet inside the horizon.
+func BenchmarkSearchProbeScoped(b *testing.B) { benchProbes(b, true) }
+
+// TestSearchProbeBenchAgree anchors the search-probe pair: on every
+// probe both sides observe the same target row.
+func TestSearchProbeBenchAgree(t *testing.T) {
+	for _, sc := range probeScenarios(t) {
+		eng := sim.NewEngine(sc.sys)
+		for p, cfg := range sc.cfgs {
+			full, err := sim.Run(sc.sys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Run(sim.Scoped(cfg, sc.targets[p]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, row := rowOf(full, sc.targets[p]), rowOf(got, sc.targets[p]); !reflect.DeepEqual(want, row) {
+				t.Fatalf("%s probe %d: scoped row %+v, full row %+v", sc.name, p, row, want)
+			}
 		}
 	}
 }

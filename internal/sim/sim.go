@@ -64,6 +64,14 @@ type Config struct {
 	// buffer and flushed when it fills and at the end of the run, so
 	// tracing no longer allocates or issues a Write per flit.
 	TraceWriter io.Writer
+
+	// stopFlow is 0 for a full-horizon run, or f+1 to make the run
+	// target-scoped for flow f: it ends as soon as f can no longer
+	// complete a packet inside the horizon (Engine.targetDone). Flow f's Result row is exactly the
+	// full run's; the other rows and InFlight are partial. Only
+	// SearchWorstCase sets it, for probes that read nothing but the
+	// target's worst latency.
+	stopFlow int
 }
 
 // Stats reports engine-internal execution counters. They describe how a
@@ -80,6 +88,10 @@ type Stats struct {
 	// FastPathCycles is the total number of simulated cycles covered by
 	// those batches (each batch covers at least 2 cycles).
 	FastPathCycles noc.Cycles
+	// StoppedAt is the cycle a target-scoped run (a SearchWorstCase
+	// probe) ended at: below Duration when it stopped early, Duration
+	// when it ran the full horizon. Zero for full-horizon runs.
+	StoppedAt noc.Cycles
 }
 
 // Result holds the outcome of a run.
