@@ -10,6 +10,7 @@ import (
 	"wormnoc/internal/noc"
 	"wormnoc/internal/oracle"
 	"wormnoc/internal/sim"
+	"wormnoc/internal/traffic"
 	"wormnoc/internal/workload"
 )
 
@@ -141,6 +142,104 @@ func TestDifferentialDidactic(t *testing.T) {
 			}
 			mustEqualResults(t, fmt.Sprintf("didactic buf=%d off=%d", buf, off), ref, got)
 		}
+	}
+}
+
+// tinyGen is the scenario distribution of `nocfuzz exhaust`: meshes of
+// at most 2×2 nodes, at most 3 flows, 6–18-cycle periods, 2–6-flit
+// packets, no jitter. The exhaustive prover spends its time simulating
+// such systems, thousands of short runs per proof.
+var tinyGen = oracle.GenConfig{
+	MaxDim: 2, MaxFlows: 3, MaxBuf: 4, MaxLinkLatency: 1, MaxRouteLatency: -1,
+	PeriodMin: 6, PeriodMax: 18, LenMin: 2, LenMax: 6, JitterProb: -1,
+}
+
+// randomOffsets draws each flow's first release uniformly in [0, period),
+// deterministically in seed.
+func randomOffsets(sys *traffic.System, seed int64) []noc.Cycles {
+	rng := rand.New(rand.NewSource(seed))
+	offs := make([]noc.Cycles, sys.NumFlows())
+	for i := range offs {
+		offs[i] = noc.Cycles(rng.Int63n(int64(sys.Flow(i).Period)))
+	}
+	return offs
+}
+
+// proofHorizon is the exhaustive explorer's horizon for sys: the
+// hyperperiod plus twice the largest deadline.
+func proofHorizon(sys *traffic.System) noc.Cycles {
+	hyper, maxDeadline := noc.Cycles(1), noc.Cycles(0)
+	for _, f := range sys.Flows() {
+		a, b := hyper, f.Period
+		for b != 0 {
+			a, b = b, a%b
+		}
+		hyper = hyper / a * f.Period
+		maxDeadline = max(maxDeadline, f.Deadline)
+	}
+	return hyper + 2*maxDeadline
+}
+
+// TestDifferentialTiny covers the regime of the exhaustive prover:
+// tinyGen scenarios with random offsets, each run at 2 000 cycles and
+// at the proof horizon. The reference, a fresh engine and one engine
+// reused across all of a scenario's runs must return DeepEqual Results
+// (the two event-driven ones including Stats); on every fourth scenario
+// the reference and reused engines' trace streams must also match byte
+// for byte, since the engine's link-ordered dirty-set scan carries the
+// reference's ascending-link arbitration order.
+func TestDifferentialTiny(t *testing.T) {
+	const scenarios = 200
+	traced := 0
+	for i := 0; i < scenarios; i++ {
+		seed := oracle.DeriveSeed(0x7147, int64(i))
+		sc := oracle.Generate(seed, tinyGen)
+		sys, err := sc.System()
+		if err != nil {
+			t.Fatalf("scenario %d: %v", i, err)
+		}
+		eng := sim.NewEngine(sys)
+		offs := randomOffsets(sys, seed)
+		for _, dur := range []noc.Cycles{2_000, proofHorizon(sys)} {
+			label := fmt.Sprintf("tiny scenario %d (%s) duration %d", i, sc, dur)
+			cfg := sim.Config{Duration: dur, Offsets: offs, RecordLatencies: i%2 == 0}
+			ref, err := sim.RunReference(sys, cfg)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			fresh, err := sim.Run(sys, cfg)
+			if err != nil {
+				t.Fatalf("%s: fresh: %v", label, err)
+			}
+			reused, err := eng.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: reused: %v", label, err)
+			}
+			mustEqualResults(t, label, ref, fresh)
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Fatalf("%s: reused engine diverged from fresh run\nfresh: %+v\nreused: %+v", label, fresh, reused)
+			}
+		}
+		if i%4 != 0 {
+			continue
+		}
+		var refTrace, newTrace bytes.Buffer
+		if _, err := sim.RunReference(sys, sim.Config{Duration: 2_000, Offsets: offs, TraceWriter: &refTrace}); err != nil {
+			t.Fatalf("scenario %d: reference: %v", i, err)
+		}
+		if _, err := eng.Run(sim.Config{Duration: 2_000, Offsets: offs, TraceWriter: &newTrace}); err != nil {
+			t.Fatalf("scenario %d: reused: %v", i, err)
+		}
+		if !bytes.Equal(refTrace.Bytes(), newTrace.Bytes()) {
+			t.Fatalf("tiny scenario %d (%s): trace streams diverge\nreference %d bytes, reused engine %d bytes",
+				i, sc, refTrace.Len(), newTrace.Len())
+		}
+		if refTrace.Len() > 0 {
+			traced++
+		}
+	}
+	if traced == 0 {
+		t.Error("no traced tiny scenario transferred a flit; the trace comparison is vacuous")
 	}
 }
 

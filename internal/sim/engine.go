@@ -2,8 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"strconv"
 
 	"wormnoc/internal/noc"
@@ -16,6 +16,40 @@ const maxCycles = noc.Cycles(math.MaxInt64)
 // traceFlushSize is the trace buffer high-water mark: one Write per
 // ~32KiB of CSV instead of one Fprintf per flit.
 const traceFlushSize = 32 << 10
+
+// packet is one released packet. Packets live in the engine's slab and
+// are addressed by int32 slab index, so flits, arrivals and source
+// queues hold no pointers and the hot loop copies small plain values.
+type packet struct {
+	release  noc.Cycles
+	id       int // per-flow sequence number (the trace's packet column)
+	length   int32
+	injected int32 // flits handed to the injection link so far
+	arrived  int32 // flits delivered to the destination node so far
+}
+
+// flit is one flow-control unit inside a VC buffer: flit seq of the
+// packet at slab index pkt. validateConfig caps packet lengths at
+// math.MaxInt32, so seq cannot wrap to a second header.
+type flit struct {
+	pkt int32
+	seq int32
+	// readyAt is the earliest cycle a header flit may compete for the
+	// next link (arrival + routl); body flits are ready on arrival.
+	readyAt noc.Cycles
+}
+
+// arrival is a flit in transit over a link.
+type arrival struct {
+	at   noc.Cycles
+	flow int32
+	hop  int32 // index of the link just crossed in the flow's route
+	fl   flit
+}
+
+// cand is one arbitration candidate: a flow crossing hop hop of its
+// route.
+type cand struct{ flow, hop int32 }
 
 // vcFIFO is the FIFO buffer of one virtual channel at one router input
 // port. Because flow priorities are unique and each priority has its own
@@ -59,38 +93,34 @@ func (f *vcFIFO) reset() {
 	f.inflight = 0
 }
 
-// pktQueue is a head-indexed queue of released-but-not-fully-injected
-// packets of one flow (the source queue). Like vcFIFO it reclaims its
-// dead prefix instead of re-slicing, so the backing array is reused.
+// pktQueue is a head-indexed queue of the slab indices of one flow's
+// released-but-not-fully-injected packets (the source queue). Like
+// vcFIFO it reclaims its dead prefix instead of re-slicing, so the
+// backing array is reused.
 type pktQueue struct {
-	buf  []*packet
+	buf  []int32
 	head int
 }
 
 func (q *pktQueue) len() int { return len(q.buf) - q.head }
 
-func (q *pktQueue) push(p *packet) {
+func (q *pktQueue) push(p int32) {
 	if q.head > 0 && q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	} else if q.head > 32 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
 	q.buf = append(q.buf, p)
 }
 
-func (q *pktQueue) peek() *packet { return q.buf[q.head] }
+func (q *pktQueue) peek() int32 { return q.buf[q.head] }
 
-func (q *pktQueue) pop() {
-	q.buf[q.head] = nil
-	q.head++
-}
+func (q *pktQueue) pop() { q.head++ }
 
 func (q *pktQueue) reset() {
-	clear(q.buf)
 	q.buf = q.buf[:0]
 	q.head = 0
 }
@@ -142,8 +172,8 @@ type relEvent struct {
 }
 
 // linkEvent is one entry of the wakeup heap: link link must be
-// re-arbitrated at cycle at (its busy period expires, or a header flit
-// at a feeding FIFO finishes routing).
+// re-arbitrated at cycle at, when a header flit at a feeding FIFO
+// finishes routing.
 type linkEvent struct {
 	at   noc.Cycles
 	link int32
@@ -152,7 +182,7 @@ type linkEvent struct {
 // Engine is a reusable event-driven simulation engine bound to one
 // system. Build it once with NewEngine and call Run repeatedly: every
 // internal buffer (VC FIFOs, source queues, arrival ring, event heaps,
-// packet pool, result slices) is recycled across runs, so steady-state
+// packet slab, result slices) is recycled across runs, so steady-state
 // operation allocates nothing. That is what makes the adversarial
 // phasing search and the verification oracle — thousands of runs per
 // scenario — cheap.
@@ -197,16 +227,21 @@ type Engine struct {
 	arrivals    []arrival
 	arrivalHead int
 
-	// Event state. dirty marks links whose arbitration inputs changed
-	// since they were last examined; dirtyList holds their ids. relHeap
-	// orders each flow's next source event by (time, flow) — the flow
-	// tie-break preserves the reference engine's flow-index release
-	// order, which the shared jitter stream observes. wakeHeap holds
-	// timed link re-arbitrations; linkWakeAt[l] is the earliest pending
-	// wakeup of link l (dedup so a hot link does not flood the heap).
-	dirty      []bool
-	dirtyList  []int
-	curDirty   []int // dirtyList snapshot being arbitrated this cycle
+	// Event state. dirty is a bitset (bit l of word l/64) of the links
+	// whose arbitration inputs changed since they were last examined,
+	// nDirty its population. Arbitration swaps it with arbSet, the
+	// all-zero spare, and scans the set bits word by word: the scan
+	// yields ascending link ids without a sort. relHeap orders each
+	// flow's next source event by (time, flow) — the flow tie-break
+	// preserves the reference engine's flow-index release order, which
+	// the shared jitter stream observes. wakeHeap holds the link
+	// re-arbitrations due when a header finishes routing (busy periods
+	// end with a delivery, which needs no heap entry); linkWakeAt[l] is
+	// the earliest pending wakeup of
+	// link l (dedup so a hot link does not flood the heap).
+	dirty      []uint64
+	arbSet     []uint64
+	nDirty     int
 	relHeap    []relEvent
 	wakeHeap   []linkEvent
 	linkWakeAt []noc.Cycles
@@ -217,7 +252,8 @@ type Engine struct {
 	// platform gate: the batch analysis is only valid when every link
 	// transfer takes one cycle and headers route instantly, so flits are
 	// ready on arrival and the wakeup heap stays empty. prevTransfers is
-	// last executed cycle's transfer set (the stability pre-filter);
+	// last executed cycle's transfer set (the stability pre-filter),
+	// swapped with transfers at the end of each executed cycle;
 	// winnerOf maps a link to its index in transfers during an analysis
 	// (-1 outside); batchOrder and lastFlits are bulk-apply scratch.
 	fastOK        bool
@@ -226,12 +262,15 @@ type Engine struct {
 	batchOrder    []int32
 	lastFlits     []flit
 
-	// packet pool: pool holds every packet this engine ever allocated,
-	// free the currently reusable ones. reset refills free from pool
-	// wholesale, so packets stranded in-flight at a horizon are
-	// recovered too.
-	pool []*packet
-	free []*packet
+	// Packet slab: pkts holds every packet slot of this run, freePkts
+	// the slab indices of completed packets, reused first. reset
+	// truncates both, so packets stranded in flight at a horizon are
+	// recovered too. The slab grows only when no slot is free, so its
+	// length never exceeds the peak number of live (released, not yet
+	// delivered) packets; an int32 index would need 2^31 of them, a
+	// 64 GiB slab, before it could wrap.
+	pkts     []packet
+	freePkts []int32
 
 	traceBuf []byte
 
@@ -252,6 +291,7 @@ func NewEngine(sys *traffic.System) *Engine {
 	n := sys.NumFlows()
 	topo := sys.Topology()
 	rc := topo.Config()
+	words := (topo.NumLinks() + 63) / 64
 	e := &Engine{
 		sys:         sys,
 		linkl:       rc.LinkLatency,
@@ -269,7 +309,8 @@ func NewEngine(sys *traffic.System) *Engine {
 		pktSeq:      make([]int, n),
 		pending:     make([]cycQueue, n),
 		jitter:      rand.New(new(jitterStream)),
-		dirty:       make([]bool, topo.NumLinks()),
+		dirty:       make([]uint64, words),
+		arbSet:      make([]uint64, words),
 		linkWakeAt:  make([]noc.Cycles, topo.NumLinks()),
 		fastOK:      rc.LinkLatency == 1 && rc.RouteLatency == 0,
 		winnerOf:    make([]int32, topo.NumLinks()),
@@ -298,7 +339,7 @@ func NewEngine(sys *traffic.System) *Engine {
 		e.fifos[i], fifoStore = fifoStore[:h:h], fifoStore[h:]
 		e.res.MaxOccupancy[i], occStore = occStore[:h:h], occStore[h:]
 		for hop, l := range e.routes[i] {
-			e.onLink[l] = append(e.onLink[l], cand{flow: i, hop: hop})
+			e.onLink[l] = append(e.onLink[l], cand{flow: int32(i), hop: int32(hop)})
 		}
 	}
 	// Keep candidate lists priority-sorted so arbitration scans stop at
@@ -332,9 +373,11 @@ func (e *Engine) reset(cfg Config) {
 	e.cfg = cfg
 	for i := range e.busyUntil {
 		e.busyUntil[i] = 0
-		e.dirty[i] = false
 		e.linkWakeAt[i] = maxCycles
 	}
+	clear(e.dirty)
+	clear(e.arbSet)
+	e.nDirty = 0
 	for i := 0; i < e.n; i++ {
 		e.queue[i].reset()
 		e.pending[i].reset()
@@ -369,14 +412,13 @@ func (e *Engine) reset(cfg Config) {
 	e.jitter.Seed(cfg.JitterSeed)
 	e.arrivals = e.arrivals[:0]
 	e.arrivalHead = 0
-	e.dirtyList = e.dirtyList[:0]
-	e.curDirty = e.curDirty[:0]
 	e.relHeap = e.relHeap[:0]
 	e.wakeHeap = e.wakeHeap[:0]
 	e.transfers = e.transfers[:0]
 	e.prevTransfers = e.prevTransfers[:0]
 	e.res.Stats = Stats{}
-	e.free = append(e.free[:0], e.pool...)
+	e.pkts = e.pkts[:0]
+	e.freePkts = e.freePkts[:0]
 	e.traceBuf = e.traceBuf[:0]
 	e.inFlight = 0
 	e.flitsLive = 0
@@ -415,7 +457,8 @@ func (e *Engine) run() {
 	t := noc.Cycles(0)
 	for ; t < e.cfg.Duration && !e.stop; t++ {
 		// 1. Deliver flits whose link traversal completes at t. Each
-		// delivery marks the link the landing FIFO feeds as dirty.
+		// delivery marks the link the landing FIFO feeds as dirty, and
+		// on multi-cycle links the link it crossed, now no longer busy.
 		for e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at <= t {
 			a := e.arrivals[e.arrivalHead]
 			e.arrivalHead++
@@ -429,8 +472,8 @@ func (e *Engine) run() {
 			e.arrivals = e.arrivals[:n]
 			e.arrivalHead = 0
 		}
-		// 2. Timed link wakeups: busy periods expiring at t, headers
-		// whose routing delay elapses at t.
+		// 2. Timed link wakeups: headers whose routing delay elapses
+		// at t.
 		for len(e.wakeHeap) > 0 && e.wakeHeap[0].at <= t {
 			l := e.wakeHeap[0].link
 			e.wakePop()
@@ -447,7 +490,7 @@ func (e *Engine) run() {
 		}
 		// 4. Cycle skip: if no link's inputs changed, arbitration at t
 		// (and at every cycle before the next event) is a no-op.
-		if len(e.dirtyList) == 0 {
+		if e.nDirty == 0 {
 			if e.stop {
 				continue // end at t+1, not after a skip
 			}
@@ -470,42 +513,48 @@ func (e *Engine) run() {
 		// reference engine scans links in id order; transfer application
 		// and trace emission must match it). Highest-priority eligible
 		// candidate (head flit, routed, with downstream credit) wins.
-		// The dirty list is swapped out first: marks made while
-		// arbitrating and transferring accumulate for cycle t+1.
-		e.curDirty, e.dirtyList = e.dirtyList, e.curDirty[:0]
-		slices.Sort(e.curDirty)
+		// The dirty set is swapped with the empty spare first: marks
+		// made while arbitrating and transferring accumulate for cycle
+		// t+1. Scanning the set bits of each word low to high visits
+		// the links in ascending id, and clears the spare as it goes.
+		e.dirty, e.arbSet = e.arbSet, e.dirty
+		e.nDirty = 0
 		e.transfers = e.transfers[:0]
-		for _, l := range e.curDirty {
-			e.dirty[l] = false
-			if e.busyUntil[l] > t {
-				// Still busy: revisit when the busy period expires. (An
-				// earlier pending wakeup may have absorbed the expiry
-				// wake scheduled at transfer time, so re-arm here.)
-				e.scheduleWake(e.busyUntil[l], l, t)
+		for w, word := range e.arbSet {
+			if word == 0 {
 				continue
 			}
-			won := false
-			minReady := maxCycles
-			for _, c := range e.onLink[l] {
-				ok, ready := e.eligible(c, t)
-				if ok {
-					e.transfers = append(e.transfers, c)
-					won = true
-					break
+			e.arbSet[w] = 0
+			for ; word != 0; word &= word - 1 {
+				l := w<<6 | bits.TrailingZeros64(word)
+				if e.busyUntil[l] > t {
+					// Still busy: the transfer's delivery, due when the
+					// busy period ends, marks the link again.
+					continue
 				}
-				if ready < minReady {
-					minReady = ready
+				won := false
+				minReady := maxCycles
+				for _, c := range e.onLink[l] {
+					ok, ready := e.eligible(c, t)
+					if ok {
+						e.transfers = append(e.transfers, c)
+						won = true
+						break
+					}
+					if ready < minReady {
+						minReady = ready
+					}
 				}
-			}
-			if !won && minReady < maxCycles {
-				// Blocked only by routing delay: revisit when the
-				// earliest header becomes ready.
-				e.scheduleWake(minReady, l, t)
+				if !won && minReady < maxCycles {
+					// Blocked only by routing delay: revisit when the
+					// earliest header becomes ready.
+					e.scheduleWake(minReady, l, t)
+				}
 			}
 		}
 		// 6. Apply the transfers decided this cycle simultaneously.
-		// Freed credits and busy links mark/schedule the affected links
-		// for the following cycles.
+		// Freed credits mark the upstream links for cycle t+1, as does a
+		// transfer its own link when linkl is 1.
 		for _, c := range e.transfers {
 			e.transfer(c, t)
 		}
@@ -517,7 +566,7 @@ func (e *Engine) run() {
 		if e.fastOK && e.cfg.TraceWriter == nil && len(e.transfers) > 0 && !e.stop {
 			t += e.tryLockBatch(t)
 		}
-		e.prevTransfers = append(e.prevTransfers[:0], e.transfers...)
+		e.prevTransfers, e.transfers = e.transfers, e.prevTransfers
 	}
 	if e.cfg.stopFlow > 0 {
 		e.res.Stats.StoppedAt = t
@@ -527,11 +576,13 @@ func (e *Engine) run() {
 }
 
 func (e *Engine) markDirty(l int) {
-	if !e.dirty[l] {
-		e.dirty[l] = true
-		e.dirtyList = append(e.dirtyList, l)
+	if w, bit := l>>6, uint64(1)<<(l&63); e.dirty[w]&bit == 0 {
+		e.dirty[w] |= bit
+		e.nDirty++
 	}
 }
+
+func (e *Engine) isDirty(l int) bool { return e.dirty[l>>6]&(1<<(l&63)) != 0 }
 
 // processReleases runs flow i's source: periodic ticks due at t (with
 // jitter sampling), then jittered releases that became due, then
@@ -577,19 +628,18 @@ func (e *Engine) processReleases(i int, t noc.Cycles) {
 // cycle relAt (its latency is measured from relAt) and marks the flow's
 // injection link dirty.
 func (e *Engine) releasePacket(i int, relAt noc.Cycles) {
-	var p *packet
-	if n := len(e.free); n > 0 {
-		p = e.free[n-1]
-		e.free = e.free[:n-1]
+	var p int32
+	if n := len(e.freePkts); n > 0 {
+		p = e.freePkts[n-1]
+		e.freePkts = e.freePkts[:n-1]
 	} else {
-		p = &packet{}
-		e.pool = append(e.pool, p)
+		p = int32(len(e.pkts))
+		e.pkts = append(e.pkts, packet{})
 	}
-	*p = packet{
-		flow:    i,
-		id:      e.pktSeq[i],
+	e.pkts[p] = packet{
 		release: relAt,
-		length:  e.flows[i].Length,
+		id:      e.pktSeq[i],
+		length:  int32(e.flows[i].Length),
 	}
 	e.pktSeq[i]++
 	e.res.Released[i]++
@@ -618,23 +668,24 @@ func (e *Engine) eligible(c cand, t noc.Cycles) (bool, noc.Cycles) {
 	if ra := f.peek().readyAt; ra > t {
 		return false, ra // header still being routed
 	}
-	if c.hop == e.routes[c.flow].Len()-1 {
+	if int(c.hop) == e.routes[c.flow].Len()-1 {
 		return true, maxCycles // ejection into the node: always consumes
 	}
 	return e.fifos[c.flow][c.hop].occupancy() < e.buf, maxCycles
 }
 
-// transfer moves one flit of candidate c onto its link at cycle t. It
-// schedules the link's busy-expiry wakeup and, when it pops a FIFO,
-// marks the upstream link (which just regained a credit) dirty.
+// transfer moves one flit of candidate c onto its link at cycle t,
+// keeping the link busy for linkl cycles. When it pops a FIFO it marks
+// the upstream link (which just regained a credit) dirty.
 func (e *Engine) transfer(c cand, t noc.Cycles) {
 	route := e.routes[c.flow]
 	l := route[c.hop]
 	var fl flit
 	if c.hop == 0 {
 		q := &e.queue[c.flow]
-		p := q.peek()
-		fl = flit{pkt: p, seq: p.injected}
+		pi := q.peek()
+		p := &e.pkts[pi]
+		fl = flit{pkt: pi, seq: p.injected}
 		p.injected++
 		if p.injected == p.length {
 			q.pop()
@@ -646,30 +697,41 @@ func (e *Engine) transfer(c cand, t noc.Cycles) {
 		// gating the previous hop's link.
 		e.markDirty(int(route[c.hop-1]))
 	}
-	if c.hop < route.Len()-1 {
+	if int(c.hop) < route.Len()-1 {
 		e.fifos[c.flow][c.hop].inflight++
 	}
 	e.busyUntil[l] = t + e.linkl
-	e.scheduleWake(t+e.linkl, int(l), t)
+	if e.linkl == 1 {
+		// The busy period ends at t+1: re-arm now, so the dirty set left
+		// by this cycle names the link (the fast path relies on it).
+		// Longer busy periods end with the flit's delivery, which marks
+		// the link then.
+		e.markDirty(int(l))
+	}
 	e.arrivals = append(e.arrivals, arrival{at: t + e.linkl, flow: c.flow, hop: c.hop, fl: fl})
 	if e.cfg.TraceWriter != nil {
-		e.traceLine(t, int64(l), c.flow, fl.pkt.id, fl.seq)
+		e.traceLine(t, int64(l), int(c.flow), e.pkts[fl.pkt].id, int(fl.seq))
 	}
 }
 
 // deliver completes a link traversal: the flit lands in the next VC
 // buffer (marking the link that buffer feeds dirty), or in the
 // destination node when the link was the ejection one (recycling the
-// packet once its last flit arrives).
+// packet once its last flit arrives). Every transfer lasts linkl
+// cycles, so the crossed link's busy period ends now; on multi-cycle
+// links that re-arms it here (transfer re-arms one-cycle links).
 func (e *Engine) deliver(a arrival) {
 	route := e.routes[a.flow]
-	if a.hop == route.Len()-1 {
+	if e.linkl > 1 {
+		e.markDirty(int(route[a.hop]))
+	}
+	if int(a.hop) == route.Len()-1 {
 		// Ejected: consumed by the destination node.
-		p := a.fl.pkt
+		p := &e.pkts[a.fl.pkt]
 		p.arrived++
 		e.flitsLive--
 		if p.arrived == p.length {
-			e.completePacket(a.flow, p, a.at)
+			e.completePacket(int(a.flow), a.fl.pkt, a.at)
 		}
 		return
 	}
@@ -688,11 +750,12 @@ func (e *Engine) deliver(a arrival) {
 	e.markDirty(int(route[a.hop+1]))
 }
 
-// completePacket records the completion of packet p of flow flow whose
-// last flit arrived at cycle at, and recycles the packet.
-func (e *Engine) completePacket(flow int, p *packet, at noc.Cycles) {
+// completePacket records the completion of the packet at slab index p,
+// of flow flow, whose last flit arrived at cycle at, and recycles the
+// packet's slot.
+func (e *Engine) completePacket(flow int, p int32, at noc.Cycles) {
 	e.inFlight--
-	lat := at - p.release
+	lat := at - e.pkts[p].release
 	e.res.Completed[flow]++
 	e.res.TotalLatency[flow] += lat
 	if lat > e.res.WorstLatency[flow] {
@@ -704,7 +767,7 @@ func (e *Engine) completePacket(flow int, p *packet, at noc.Cycles) {
 	if e.cfg.RecordLatencies {
 		e.res.Latencies[flow] = append(e.res.Latencies[flow], lat)
 	}
-	e.free = append(e.free, p)
+	e.freePkts = append(e.freePkts, p)
 	if flow == e.cfg.stopFlow-1 && e.targetDone(flow) {
 		e.stop = true
 	}
@@ -712,9 +775,9 @@ func (e *Engine) completePacket(flow int, p *packet, at noc.Cycles) {
 
 // isWinner reports whether (flow, hop) is in the current transfer set.
 // Valid only while winnerOf is populated (inside tryLockBatch).
-func (e *Engine) isWinner(flow, hop int) bool {
+func (e *Engine) isWinner(flow, hop int32) bool {
 	wk := e.winnerOf[e.routes[flow][hop]]
-	return wk >= 0 && e.transfers[wk].flow == flow && e.transfers[wk].hop == hop
+	return wk >= 0 && e.transfers[wk] == cand{flow, hop}
 }
 
 // tryLockBatch is the locked-arbitration fast path (DESIGN.md §13).
@@ -761,16 +824,19 @@ func (e *Engine) tryLockBatch(t noc.Cycles) noc.Cycles {
 	// dirty ones (T's upstream credit returns and own re-arms) plus T's
 	// delivery targets: deliveries, pops and re-arms during a T-only
 	// cycle dirty no other link, and no releases fall inside the window.
-	for _, l := range e.dirtyList {
-		if m = e.analyzeLink(l, m); m < 2 {
-			break
+scan:
+	for w, word := range e.dirty {
+		for ; word != 0; word &= word - 1 {
+			if m = e.analyzeLink(w<<6|bits.TrailingZeros64(word), m); m < 2 {
+				break scan
+			}
 		}
 	}
 	if m >= 2 {
 		for _, c := range T {
 			route := e.routes[c.flow]
-			if c.hop+1 < route.Len() {
-				if l := int(route[c.hop+1]); !e.dirty[l] {
+			if int(c.hop)+1 < route.Len() {
+				if l := int(route[c.hop+1]); !e.isDirty(l) {
 					if m = e.analyzeLink(l, m); m < 2 {
 						break
 					}
@@ -830,7 +896,7 @@ func (e *Engine) winnerBound(c cand) noc.Cycles {
 		if q.len() == 0 {
 			return 0 // source drained; next packet needs a release
 		}
-		p := q.peek()
+		p := &e.pkts[q.peek()]
 		b := noc.Cycles(p.length - p.injected)
 		if !e.isWinner(i, 1) {
 			if cr := noc.Cycles(e.buf - e.fifos[i][0].occupancy()); cr < b {
@@ -841,8 +907,7 @@ func (e *Engine) winnerBound(c cand) noc.Cycles {
 	}
 	up := &e.fifos[i][h-1]
 	feeding := e.isWinner(i, h-1)
-	var p2 *packet
-	var s2 int
+	var p2, s2 int32
 	if up.len() > 0 {
 		head := up.peek()
 		p2, s2 = head.pkt, head.seq
@@ -854,13 +919,13 @@ func (e *Engine) winnerBound(c cand) noc.Cycles {
 		rf := &e.arrivals[e.arrivalHead+int(e.winnerOf[route[h-1]])].fl
 		p2, s2 = rf.pkt, rf.seq
 	}
-	b := noc.Cycles(p2.length - s2)
+	b := noc.Cycles(e.pkts[p2].length - s2)
 	if !feeding {
 		if sup := noc.Cycles(up.len()); sup < b {
 			b = sup
 		}
 	}
-	if h < route.Len()-1 && !e.isWinner(i, h+1) {
+	if int(h) < route.Len()-1 && !e.isWinner(i, h+1) {
 		if cr := noc.Cycles(e.buf - e.fifos[i][h].occupancy()); cr < b {
 			b = cr
 		}
@@ -897,7 +962,7 @@ func (e *Engine) stayBlockedBound(c cand) noc.Cycles {
 		return maxCycles // nothing buffered, feeder not transferring
 	}
 	// Head flit buffered and ready (routl=0: flits are ready on arrival).
-	if g == route.Len()-1 {
+	if int(g) == route.Len()-1 {
 		return 0 // ejection always consumes: eligible now
 	}
 	if e.fifos[i][g].occupancy() < e.buf {
@@ -947,16 +1012,18 @@ func (e *Engine) bulkApply(m, t noc.Cycles) {
 		// transferred during the batch are the next m of the stream.
 		rf := e.arrivals[e.arrivalHead+int(k)].fl
 		if h == 0 {
-			// Source: inject the next m flits of the head packet.
+			// Source: inject the next m flits of the head packet (m is
+			// at most its remaining length, so int32 holds it).
 			q := &e.queue[i]
-			p := q.peek()
+			pi := q.peek()
+			p := &e.pkts[pi]
 			s0 := p.injected
-			p.injected += mi
+			p.injected += int32(mi)
 			if p.injected == p.length {
 				q.pop()
 			}
 			e.flitsLive += mi
-			lasts[k] = flit{pkt: p, seq: s0 + mi - 1}
+			lasts[k] = flit{pkt: pi, seq: s0 + int32(mi) - 1}
 			F := &e.fifos[i][0]
 			L0 := F.len()
 			occ := L0 + mi
@@ -969,27 +1036,26 @@ func (e *Engine) bulkApply(m, t noc.Cycles) {
 			rf.readyAt = t + 1
 			F.push(rf)
 			for j := 1; j < mi; j++ {
-				F.push(flit{pkt: p, seq: s0 + j - 1, readyAt: t + 1 + noc.Cycles(j)})
+				F.push(flit{pkt: pi, seq: s0 + int32(j) - 1, readyAt: t + 1 + noc.Cycles(j)})
 			}
 			continue
 		}
 		up := &e.fifos[i][h-1]
 		pops := up.flits[up.head : up.head+mi]
 		lasts[k] = pops[mi-1]
-		if h == route.Len()-1 {
+		if int(h) == route.Len()-1 {
 			// Ejection: the m delivered flits (rf + the first m-1 pops)
 			// leave the network. rf may be the last flit of a previous
 			// packet, completing it at t+1; the pops all belong to the
 			// current head packet and cannot complete it inside the
 			// batch (the no-boundary bound keeps its last flit out).
-			pOld := rf.pkt
+			pOld := &e.pkts[rf.pkt]
 			if rf.seq == pOld.length-1 {
 				pOld.arrived++
-				e.completePacket(i, pOld, t+1)
-				p2 := pops[0].pkt
-				p2.arrived += mi - 1
+				e.completePacket(int(i), rf.pkt, t+1)
+				e.pkts[pops[0].pkt].arrived += int32(mi - 1)
 			} else {
-				pOld.arrived += mi
+				pOld.arrived += int32(mi)
 			}
 			e.flitsLive -= mi
 		} else {
@@ -1091,13 +1157,12 @@ func (e *Engine) relPop() {
 }
 
 // scheduleWake arranges for link l to be re-arbitrated at cycle at,
-// given the current cycle t. A wake due at the very next cycle — the
-// overwhelmingly common case when linkl is 1, as every transfer re-arms
-// its link — goes straight onto the dirty list for t+1 (the list is
-// non-empty, so the skip cannot jump past it) instead of bouncing
-// through the heap. Later wakes are heaped; linkWakeAt suppresses
-// pushes at or after an already-pending wakeup, so a hot link
-// contributes O(1) live heap entries.
+// given the current cycle t. A wake due at the very next cycle goes
+// straight into the dirty set for t+1 (the set is non-empty, so the
+// skip cannot jump past it) instead of bouncing through the heap.
+// Later wakes are heaped; linkWakeAt suppresses pushes at or after an
+// already-pending wakeup, so a hot link contributes O(1) live heap
+// entries.
 func (e *Engine) scheduleWake(at noc.Cycles, l int, t noc.Cycles) {
 	if at <= t+1 {
 		e.markDirty(l)

@@ -24,10 +24,41 @@ func RunReference(sys *traffic.System, cfg Config) (*Result, error) {
 	return e.res, nil
 }
 
+// refPacket is one released packet of the reference engine.
+type refPacket struct {
+	flow     int
+	id       int
+	release  noc.Cycles
+	length   int
+	injected int // flits handed to the injection link so far
+	arrived  int // flits delivered to the destination node so far
+}
+
+// refFlit is one flow-control unit inside a reference VC buffer.
+type refFlit struct {
+	pkt *refPacket
+	seq int
+	// readyAt is the earliest cycle a header flit may compete for the
+	// next link (arrival + routl); body flits are ready on arrival.
+	readyAt noc.Cycles
+}
+
+// refArrival is a flit in transit over a link.
+type refArrival struct {
+	at   noc.Cycles
+	flow int
+	hop  int // index of the link just crossed in the flow's route
+	fl   refFlit
+}
+
+// refCand is one arbitration candidate: a flow crossing hop hop of its
+// route.
+type refCand struct{ flow, hop int }
+
 // refVCFIFO is the reference engine's FIFO buffer of one virtual channel
 // at one router input port.
 type refVCFIFO struct {
-	flits    []flit
+	flits    []refFlit
 	head     int
 	inflight int // flits transferred but not yet arrived (credit debt)
 }
@@ -36,7 +67,7 @@ func (f *refVCFIFO) len() int { return len(f.flits) - f.head }
 
 func (f *refVCFIFO) occupancy() int { return f.len() + f.inflight }
 
-func (f *refVCFIFO) push(fl flit) {
+func (f *refVCFIFO) push(fl refFlit) {
 	if f.head > 0 && f.head == len(f.flits) {
 		f.flits = f.flits[:0]
 		f.head = 0
@@ -48,9 +79,9 @@ func (f *refVCFIFO) push(fl flit) {
 	f.flits = append(f.flits, fl)
 }
 
-func (f *refVCFIFO) peek() *flit { return &f.flits[f.head] }
+func (f *refVCFIFO) peek() *refFlit { return &f.flits[f.head] }
 
-func (f *refVCFIFO) pop() flit {
+func (f *refVCFIFO) pop() refFlit {
 	fl := f.flits[f.head]
 	f.head++
 	return fl
@@ -71,12 +102,12 @@ type refEngine struct {
 	fifos [][]*refVCFIFO
 	// onLink[l] lists the (flow, hop) pairs whose route crosses link l,
 	// i.e. the arbitration candidates of link l.
-	onLink [][]cand
+	onLink [][]refCand
 
 	busyUntil []noc.Cycles // per link
 
 	// source state per flow
-	queue       [][]*packet // released, not fully injected
+	queue       [][]*refPacket // released, not fully injected
 	nextRelease []noc.Cycles
 	released    []int
 	pktSeq      []int
@@ -86,7 +117,7 @@ type refEngine struct {
 
 	// arrivals is a FIFO of in-transit flits; since every transfer takes
 	// exactly linkl cycles, arrivals complete in submission order.
-	arrivals    []arrival
+	arrivals    []refArrival
 	arrivalHead int
 
 	res       *Result
@@ -106,9 +137,9 @@ func newRefEngine(sys *traffic.System, cfg Config) *refEngine {
 		buf:         rc.BufDepth,
 		routes:      make([]noc.Route, n),
 		fifos:       make([][]*refVCFIFO, n),
-		onLink:      make([][]cand, topo.NumLinks()),
+		onLink:      make([][]refCand, topo.NumLinks()),
 		busyUntil:   make([]noc.Cycles, topo.NumLinks()),
-		queue:       make([][]*packet, n),
+		queue:       make([][]*refPacket, n),
 		nextRelease: make([]noc.Cycles, n),
 		released:    make([]int, n),
 		pktSeq:      make([]int, n),
@@ -135,7 +166,7 @@ func newRefEngine(sys *traffic.System, cfg Config) *refEngine {
 			e.fifos[i][h] = &refVCFIFO{}
 		}
 		for h, l := range e.routes[i] {
-			e.onLink[l] = append(e.onLink[l], cand{flow: i, hop: h})
+			e.onLink[l] = append(e.onLink[l], refCand{flow: i, hop: h})
 		}
 		if cfg.Offsets != nil {
 			e.nextRelease[i] = cfg.Offsets[i]
@@ -155,7 +186,7 @@ func newRefEngine(sys *traffic.System, cfg Config) *refEngine {
 }
 
 func (e *refEngine) run() {
-	var transfers []cand
+	var transfers []refCand
 	for t := noc.Cycles(0); t < e.cfg.Duration; t++ {
 		// 1. Deliver flits whose link traversal completes at t.
 		for e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at <= t {
@@ -242,7 +273,7 @@ func (e *refEngine) run() {
 // releasePacket makes a packet of flow i available for injection at
 // cycle relAt (its latency is measured from relAt).
 func (e *refEngine) releasePacket(i int, relAt noc.Cycles) {
-	p := &packet{
+	p := &refPacket{
 		flow:    i,
 		id:      e.pktSeq[i],
 		release: relAt,
@@ -267,7 +298,7 @@ func (e *refEngine) allQueuesEmpty() bool {
 // route) can transfer a flit this cycle: it must have a head flit that
 // has been routed, and the downstream VC buffer must have a free slot
 // (credit-based flow control).
-func (e *refEngine) eligible(c cand, t noc.Cycles) bool {
+func (e *refEngine) eligible(c refCand, t noc.Cycles) bool {
 	route := e.routes[c.flow]
 	if c.hop == 0 {
 		// Injection: the source node offers the next flit of its oldest
@@ -292,13 +323,13 @@ func (e *refEngine) eligible(c cand, t noc.Cycles) bool {
 }
 
 // transfer moves one flit of candidate c onto its link at cycle t.
-func (e *refEngine) transfer(c cand, t noc.Cycles) {
+func (e *refEngine) transfer(c refCand, t noc.Cycles) {
 	route := e.routes[c.flow]
 	l := route[c.hop]
-	var fl flit
+	var fl refFlit
 	if c.hop == 0 {
 		p := e.queue[c.flow][0]
-		fl = flit{pkt: p, seq: p.injected}
+		fl = refFlit{pkt: p, seq: p.injected}
 		p.injected++
 		if p.injected == p.length {
 			e.queue[c.flow] = e.queue[c.flow][1:]
@@ -311,7 +342,7 @@ func (e *refEngine) transfer(c cand, t noc.Cycles) {
 		e.fifos[c.flow][c.hop].inflight++
 	}
 	e.busyUntil[l] = t + e.linkl
-	e.arrivals = append(e.arrivals, arrival{at: t + e.linkl, flow: c.flow, hop: c.hop, fl: fl})
+	e.arrivals = append(e.arrivals, refArrival{at: t + e.linkl, flow: c.flow, hop: c.hop, fl: fl})
 	if e.cfg.TraceWriter != nil {
 		fmt.Fprintf(e.cfg.TraceWriter, "%d,%d,%d,%d,%d\n", t, int(l), c.flow, fl.pkt.id, fl.seq)
 	}
@@ -319,7 +350,7 @@ func (e *refEngine) transfer(c cand, t noc.Cycles) {
 
 // deliver completes a link traversal: the flit lands in the next VC
 // buffer, or in the destination node when the link was the ejection one.
-func (e *refEngine) deliver(a arrival) {
+func (e *refEngine) deliver(a refArrival) {
 	route := e.routes[a.flow]
 	if a.hop == route.Len()-1 {
 		// Ejected: consumed by the destination node.

@@ -19,8 +19,9 @@
 //
 // Two engines live here. Engine is the production one: event-driven
 // (it skips straight across cycles in which nothing can move, and only
-// re-arbitrates links whose inputs changed) and reusable (Reset/Run
-// recycle every buffer, so steady-state searches allocate nothing).
+// re-arbitrates links whose inputs changed) and reusable (build it once
+// with NewEngine; every Engine.Run recycles its buffers, so steady-state
+// searches allocate nothing).
 // RunReference is the retained straightforward cycle-scanning engine;
 // the two are held bit-identical by a differential test suite and the
 // verification oracle's divergence invariant (DESIGN.md §10).
@@ -29,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"wormnoc/internal/noc"
 	"wormnoc/internal/traffic"
@@ -148,36 +150,6 @@ func (r *Result) MeanLatency(i int) float64 {
 	return float64(r.TotalLatency[i]) / float64(r.Completed[i])
 }
 
-type packet struct {
-	flow     int
-	id       int
-	release  noc.Cycles
-	length   int
-	injected int // flits handed to the injection link so far
-	arrived  int // flits delivered to the destination node so far
-}
-
-// flit is one flow-control unit inside a VC buffer.
-type flit struct {
-	pkt *packet
-	seq int
-	// readyAt is the earliest cycle a header flit may compete for the
-	// next link (arrival + routl); body flits are ready on arrival.
-	readyAt noc.Cycles
-}
-
-// arrival is a flit in transit over a link.
-type arrival struct {
-	at   noc.Cycles
-	flow int
-	hop  int // index of the link just crossed in the flow's route
-	fl   flit
-}
-
-// cand is one arbitration candidate: a flow crossing hop hop of its
-// route.
-type cand struct{ flow, hop int }
-
 func validateConfig(sys *traffic.System, cfg Config) error {
 	if cfg.Duration < 1 {
 		return fmt.Errorf("sim: Duration must be >= 1 cycle, got %d", cfg.Duration)
@@ -188,6 +160,15 @@ func validateConfig(sys *traffic.System, cfg Config) error {
 	for i, off := range cfg.Offsets {
 		if off < 0 {
 			return fmt.Errorf("sim: flow %d has negative offset %d", i, off)
+		}
+	}
+	// Engine flits number themselves with an int32: a longer packet
+	// would wrap a body flit to seq 0, which pays routl as a header.
+	flows := sys.Flows()
+	for i := range flows {
+		if flows[i].Length > math.MaxInt32 {
+			return fmt.Errorf("sim: flow %d (%q) has %d-flit packets, more than the simulator's limit of %d",
+				i, flows[i].Name, flows[i].Length, math.MaxInt32)
 		}
 	}
 	return nil

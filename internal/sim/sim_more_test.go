@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bufio"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,38 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if _, err := sim.Run(sys, sim.Config{Duration: 100, Offsets: []noc.Cycles{-1, 0}}); err == nil {
 		t.Error("negative offset must fail")
+	}
+
+	// Flit sequence numbers are int32: a longer packet would wrap a body
+	// flit to seq 0 and charge it routl as a header. Every entry point
+	// must reject it, naming the flow; the longest representable length
+	// is accepted.
+	topo := noc.MustMesh(2, 1, noc.RouterConfig{BufDepth: 2, LinkLatency: 1, RouteLatency: 1})
+	for _, tc := range []struct {
+		length int64
+		ok     bool
+	}{{math.MaxInt32, true}, {math.MaxInt32 + 1, false}} {
+		long := traffic.MustSystem(topo, []traffic.Flow{
+			{Name: "short", Priority: 1, Period: 100, Deadline: 100, Length: 4, Src: 0, Dst: 1},
+			{Name: "huge", Priority: 2, Period: 1 << 40, Deadline: 1 << 40, Length: int(tc.length), Src: 0, Dst: 1},
+		})
+		cfg := sim.Config{Duration: 100}
+		runs := map[string]func() (*sim.Result, error){
+			"Run":          func() (*sim.Result, error) { return sim.Run(long, cfg) },
+			"RunReference": func() (*sim.Result, error) { return sim.RunReference(long, cfg) },
+			"Engine.Run":   func() (*sim.Result, error) { return sim.NewEngine(long).Run(cfg) },
+		}
+		for name, run := range runs {
+			_, err := run()
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s: length %d rejected: %v", name, tc.length, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s: length %d accepted", name, tc.length)
+			case !tc.ok && !strings.Contains(err.Error(), `"huge"`):
+				t.Errorf("%s: error %q does not name the flow", name, err)
+			}
+		}
 	}
 }
 
