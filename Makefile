@@ -15,16 +15,6 @@
 #                                 columns) and the scratch-vs-incremental
 #                                 what-if pairs
 #
-# `make bench-serve` regenerates the serving-tier baseline separately
-# (it boots real processes on loopback, so it is not part of `bench`):
-#
-#   results/BENCH_serve.json    — cmd/nocload latency/throughput report:
-#                                 one worker loaded directly vs 3 workers
-#                                 behind a cluster coordinator. The pair
-#                                 "speedup" is the single/fleet mean-
-#                                 latency ratio, i.e. the coordination
-#                                 overhead paid for fault tolerance.
-#
 # `make bench-exhaustive` regenerates the explicit-state backend's
 # reduction baseline:
 #
@@ -35,11 +25,11 @@
 #                                 states/op metrics carry the state-
 #                                 count reduction behind it.
 #
-# For every target but bench-serve, when a committed baseline already
-# exists, the regenerated pair speedups are gated against it: a
-# drop of more than MAXREGRESS fails the target (exit 3 from benchjson)
-# and leaves the committed file untouched, so CI catches an engine, an
-# incremental path or a reduction that quietly stopped paying off.
+# For every target, when a committed baseline already exists, the
+# regenerated pair speedups are gated against it: a drop of more than
+# MAXREGRESS fails the target (exit 3 from benchjson) and leaves the
+# committed file untouched, so CI catches an engine, an incremental
+# path or a reduction that quietly stopped paying off.
 #
 # BENCHTIME/COUNT tune fidelity vs wall time; CI uses the defaults and
 # uploads the files as artifacts.
@@ -48,7 +38,7 @@ BENCHTIME  ?= 1s
 COUNT      ?= 1
 MAXREGRESS ?= 25%
 
-.PHONY: bench bench-sim bench-analysis bench-exhaustive bench-serve fleet-chaos
+.PHONY: bench bench-sim bench-analysis bench-exhaustive
 
 bench: bench-sim bench-analysis bench-exhaustive
 
@@ -105,12 +95,3 @@ bench-exhaustive:
 	@mv results/.bench_exhaustive.json.new results/BENCH_exhaustive.json
 	@rm -f results/.bench_exhaustive.txt
 	@echo wrote results/BENCH_exhaustive.json
-
-bench-serve:
-	scripts/bench_serve.sh
-
-# Fleet chaos drill: 3 workers + coordinator, zipf burst, one worker
-# SIGKILLed mid-burst; passes only if no client-visible errors, zero
-# incorrect results, bounded p99 and exactly-reconciled fleet metrics.
-fleet-chaos:
-	scripts/fleet_chaos.sh

@@ -301,13 +301,6 @@ var pairPrefixes = []struct{ before, after string }{
 	// Makefile `bench-exhaustive`). The states/op metric on each record
 	// carries the state-count reduction behind the wall-clock speedup.
 	{"BenchmarkExhaustiveRaw/", "BenchmarkExhaustiveReduced/"},
-	// cmd/nocload emits these (they are not `go test` benchmarks): one
-	// nocserve worker loaded directly vs the same load through a
-	// cluster coordinator fronting a worker fleet. "Speedup" here is
-	// the single-node/fleet mean-latency ratio; the interesting
-	// figures are the p99/p999 and shed/hedge-rate metrics carried on
-	// each record (results/BENCH_serve.json, Makefile `bench-serve`).
-	{"BenchmarkServeSingle/", "BenchmarkServeFleet/"},
 }
 
 // derivePairs matches each pairPrefixes family's before/after runs by

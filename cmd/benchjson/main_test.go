@@ -121,45 +121,6 @@ func TestParseRejectsHalfPair(t *testing.T) {
 	}
 }
 
-// TestParseServePairs: cmd/nocload's report lines (single worker vs
-// coordinator-fronted fleet) are a tracked pair family with custom
-// latency/rate metrics, under the same zero-match and half-pair guards
-// as the `go test` families.
-func TestParseServePairs(t *testing.T) {
-	in := `BenchmarkServeSingle/mixed 	    4000	    5000000 ns/op	 4200 p50_us	 9000 p99_us	 12000 p999_us	 0.0000 shed_rate	 0.0000 err_rate	 0.0000 hedge_rate	 800.0 req/s
-BenchmarkServeFleet/mixed 	   12000	    2500000 ns/op	 2100 p50_us	 5000 p99_us	  8000 p999_us	 0.0100 shed_rate	 0.0000 err_rate	 0.0600 hedge_rate	 2400.0 req/s
-BenchmarkServeSingle/analyze 	 3000	    4000000 ns/op	 3900 p50_us	 8000 p99_us	 11000 p999_us	 0.0000 shed_rate	 0.0000 err_rate	 0.0000 hedge_rate	 600.0 req/s
-BenchmarkServeFleet/analyze 	 9000	    2000000 ns/op	 1900 p50_us	 4000 p99_us	  7000 p999_us	 0.0000 shed_rate	 0.0000 err_rate	 0.0500 hedge_rate	 1800.0 req/s
-`
-	doc, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]Benchmark{}
-	for _, b := range doc.Benchmarks {
-		byName[b.Name] = b
-	}
-	fleet, ok := byName["BenchmarkServeFleet/mixed"]
-	if !ok {
-		t.Fatalf("fleet record missing: %+v", doc.Benchmarks)
-	}
-	if fleet.Metrics["p99_us"] != 5000 || fleet.Metrics["hedge_rate"] != 0.06 || fleet.Metrics["req/s"] != 2400 {
-		t.Errorf("fleet metrics wrong: %+v", fleet.Metrics)
-	}
-	if len(doc.Pairs) != 2 {
-		t.Fatalf("derived %d pairs, want 2: %+v", len(doc.Pairs), doc.Pairs)
-	}
-	for _, p := range doc.Pairs {
-		if p.Speedup != 2.0 {
-			t.Errorf("serve pair %s speedup = %v, want 2.0", p.Scenario, p.Speedup)
-		}
-	}
-	// Half-pair guard covers the serve family too.
-	if _, err := Parse(strings.NewReader("BenchmarkServeSingle/mixed 10 100 ns/op\n")); err == nil {
-		t.Error("Parse accepted a serve family with only the single-node side present")
-	}
-}
-
 // TestGate exercises the -baseline regression gate: speedups within
 // tolerance pass, speedups below baseline·(1−tol) fail, and a tracked
 // pair that vanished from the run fails so a renamed benchmark cannot

@@ -11,16 +11,6 @@
 //	nocserve -timeout 10s              # default + maximum per-request deadline
 //	nocserve -pprof                    # also mount /debug/pprof/
 //
-// A serving fleet (docs/DESIGN.md §14) is N worker processes fronted
-// by one coordinator that shards systems over them by canonical key,
-// with hedged fan-out, failover and health-probe membership:
-//
-//	nocserve -addr :8081 &
-//	nocserve -addr :8082 &
-//	nocserve -addr :8083 &
-//	nocserve -mode coordinator -addr :8080 \
-//	    -backends w1=http://127.0.0.1:8081,w2=http://127.0.0.1:8082,w3=http://127.0.0.1:8083
-//
 // The didactic example round-trips through the service with:
 //
 //	go run ./cmd/analyze -example > flows.json
@@ -38,46 +28,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"wormnoc/internal/cluster"
 	"wormnoc/internal/serve"
 )
-
-// parseBackends parses the -backends flag: comma-separated name=url
-// pairs (bare URLs get positional names w1, w2, …).
-func parseBackends(spec string) ([]cluster.Backend, error) {
-	var out []cluster.Backend
-	for i, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		name, url, found := strings.Cut(field, "=")
-		if !found {
-			name, url = fmt.Sprintf("w%d", i+1), field
-		}
-		if name == "" || url == "" {
-			return nil, fmt.Errorf("backend %q: want name=url", field)
-		}
-		out = append(out, cluster.Backend{Name: name, URL: strings.TrimSuffix(url, "/")})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("coordinator mode needs -backends name=url[,name=url...]")
-	}
-	return out, nil
-}
 
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		mode         = flag.String("mode", "worker", `"worker" (standalone server) or "coordinator" (front a fleet of workers)`)
-		backendsFlag = flag.String("backends", "", "coordinator mode: comma-separated name=url worker list")
-		replicas     = flag.Int("replicas", 0, "coordinator mode: shard replica-chain length (0 = default 2)")
-		hedgeDelay   = flag.Duration("hedge", 0, "coordinator mode: fixed hedge delay (0 = adaptive latency quantile)")
-		probeEvery   = flag.Duration("probeinterval", 0, "coordinator mode: health-probe period (0 = default 1s)")
 		inflight     = flag.Int("inflight", 0, "max concurrent analyses before shedding with 429 (0 = 2×CPUs)")
 		cache        = flag.Int("cache", 0, "result-cache entries (0 = default 4096)")
 		engines      = flag.Int("engines", 0, "warm analysis engines kept (0 = default 64)")
@@ -93,61 +52,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	serveCfg := serve.Config{
+	svc := serve.New(serve.Config{
 		MaxInFlight:     *inflight,
 		ResultCacheSize: *cache,
 		EngineCacheSize: *engines,
 		DefaultTimeout:  *timeout,
 		BatchWorkers:    *batchWorkers,
 		EnablePprof:     *pprofFlag,
-	}
-
-	var handler http.Handler
-	var shutdown func(context.Context) error
-	probeCtx, stopProbing := context.WithCancel(context.Background())
-	defer stopProbing()
-
-	switch *mode {
-	case "worker":
-		svc := serve.New(serveCfg)
-		handler = svc.Handler()
-		shutdown = svc.Shutdown
-	case "coordinator":
-		backends, err := parseBackends(*backendsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nocserve: %v\n", err)
-			os.Exit(2)
-		}
-		coord, err := cluster.New(cluster.Config{
-			Backends:      backends,
-			Local:         serveCfg,
-			Replicas:      *replicas,
-			HedgeDelay:    *hedgeDelay,
-			ProbeInterval: *probeEvery,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nocserve: %v\n", err)
-			os.Exit(2)
-		}
-		coord.ProbeAll(probeCtx)
-		coord.StartProbing(probeCtx)
-		handler = coord.Handler()
-		shutdown = coord.Shutdown
-		log.Printf("nocserve: coordinating %d backends", len(backends))
-	default:
-		fmt.Fprintf(os.Stderr, "nocserve: unknown -mode %q (want worker or coordinator)\n", *mode)
-		os.Exit(2)
-	}
-
+	})
 	httpServer := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.ListenAndServe() }()
-	log.Printf("nocserve: %s listening on %s (POST /v1/analyze, POST /v1/batch, POST /v1/whatif, GET /v1/methods, GET /metrics)", *mode, *addr)
+	log.Printf("nocserve: listening on %s (POST /v1/analyze, POST /v1/batch, POST /v1/whatif, GET /v1/methods, GET /metrics)", *addr)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -158,10 +79,9 @@ func main() {
 		log.Printf("nocserve: %v received, draining in-flight analyses (up to %v)", sig, *drainTimeout)
 	}
 
-	stopProbing()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := shutdown(ctx); err != nil {
+	if err := svc.Shutdown(ctx); err != nil {
 		log.Printf("nocserve: drain incomplete: %v", err)
 	}
 	if err := httpServer.Shutdown(ctx); err != nil {

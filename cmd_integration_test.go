@@ -1,12 +1,22 @@
 package wormnoc_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"wormnoc/internal/core"
+	"wormnoc/internal/serve"
+	"wormnoc/internal/workload"
 )
 
 // Command-level integration tests: each cmd/ binary is built once and
@@ -243,5 +253,108 @@ func TestCmdTopo(t *testing.T) {
 	out, code = run(t, bin, "", "-mesh", "3x2", "-route", "0:5", "-routing", "yx")
 	if code != 0 || !strings.Contains(out, "YX") {
 		t.Errorf("yx mode: exit %d\n%s", code, out)
+	}
+}
+
+// TestCmdNocserve boots the server as a process on a free loopback port,
+// checks its answers against the in-process analysis, and requires a
+// clean exit after a SIGTERM drain.
+func TestCmdNocserve(t *testing.T) {
+	bin := buildCmd(t, "nocserve")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	logPath := filepath.Join(t.TempDir(), "nocserve.log")
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	logs := func() string {
+		b, _ := os.ReadFile(logPath)
+		return string(b)
+	}
+	cmd := exec.Command(bin, "-addr", addr, "-draintimeout", "5s")
+	cmd.Stdout, cmd.Stderr = logFile, logFile
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	stopped := false
+	defer func() {
+		if !stopped {
+			cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	base := "http://" + addr
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		select {
+		case err := <-exited:
+			stopped = true
+			t.Fatalf("nocserve exited during start-up (%v):\n%s", err, logs())
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nocserve not healthy within 30s:\n%s", logs())
+		}
+	}
+
+	sys := workload.Didactic(2)
+	for _, m := range core.Methods() {
+		want, err := core.Analyze(sys, core.Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(serve.AnalyzeRequest{System: sys.ToDocument(), Method: m.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got serve.AnalyzeResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode error %v", m, resp.StatusCode, err)
+		}
+		if got.Schedulable != want.Schedulable || len(got.Flows) != len(want.Flows) {
+			t.Fatalf("%s: served %+v, want %+v", m, got, want)
+		}
+		for i, f := range got.Flows {
+			if f.R != int64(want.Flows[i].R) || f.Status != want.Flows[i].Status.String() {
+				t.Errorf("%s: flow %d served R=%d (%s), want R=%d (%v)", m, i, f.R, f.Status, want.Flows[i].R, want.Flows[i].Status)
+			}
+		}
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		stopped = true
+		if err != nil {
+			t.Fatalf("nocserve exit after SIGTERM: %v\n%s", err, logs())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("nocserve did not exit within 15s of SIGTERM:\n%s", logs())
+	}
+	if !strings.Contains(logs(), "nocserve: bye") {
+		t.Errorf("no drain completion in the log:\n%s", logs())
 	}
 }

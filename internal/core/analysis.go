@@ -97,7 +97,8 @@ const (
 	// DependencyFailed: a higher-priority flow this flow's bound depends
 	// on was itself unschedulable, so no bound could be computed.
 	DependencyFailed
-	// Diverged: the iteration hit MaxIterations without converging.
+	// Diverged: the iteration hit MaxIterations without converging, or
+	// its sum exceeded int64 cycles (R is then noc.MaxCycles).
 	Diverged
 )
 
@@ -207,9 +208,18 @@ func (e errDependency) Error() string {
 	return fmt.Sprintf("core: depends on unschedulable flow %d", e.flow)
 }
 
-// ceilDiv returns ceil(a/b) for a >= 0, b > 0.
+// ceilDiv returns ceil(a/b) for a >= 0, b > 0, without overflow. A
+// saturated dividend (noc.MaxCycles) stands for an unbounded window and
+// yields an unbounded count.
 func ceilDiv(a, b noc.Cycles) noc.Cycles {
-	return (a + b - 1) / b
+	if a == noc.MaxCycles {
+		return noc.MaxCycles
+	}
+	q := a / b
+	if q*b != a {
+		q++
+	}
+	return q
 }
 
 // ctxCheckInterval is how many fixed-point iterations pass between
@@ -253,7 +263,7 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 	// links (see blocking.go); it is zero in the paper's configuration.
 	var blockPerEpisode noc.Cycles
 	if linkl := a.sys.Topology().Config().LinkLatency; linkl > 1 {
-		blockPerEpisode = (linkl - 1) * noc.Cycles(a.sharedLowLinks(i))
+		blockPerEpisode = noc.SatMul(linkl-1, noc.Cycles(a.sharedLowLinks(i)))
 	}
 	for _, j := range a.sets.Direct(i) {
 		if a.status[j] != Schedulable {
@@ -287,7 +297,7 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 				return err
 			}
 			if faultinject.Enabled() {
-				if err := faultinject.Fire(a.ctx, faultinject.SiteCoreFixedPoint, strconv.Itoa(i)); err != nil {
+				if err := faultinject.Fire(faultinject.SiteCoreFixedPoint, strconv.Itoa(i)); err != nil {
 					return err
 				}
 			}
@@ -296,11 +306,18 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 		next := ci
 		episodes := noc.Cycles(1)
 		for _, t := range terms {
-			hits := ceilDiv(r+t.jitter, t.period)
-			next += hits * t.hit
-			episodes += hits * (1 + t.replays)
+			hits := ceilDiv(noc.SatAdd(r, t.jitter), t.period)
+			next = noc.SatAdd(next, noc.SatMul(hits, t.hit))
+			episodes = noc.SatAdd(episodes, noc.SatMul(hits, noc.SatAdd(1, t.replays)))
 		}
-		next += blockPerEpisode * episodes
+		next = noc.SatAdd(next, noc.SatMul(blockPerEpisode, episodes))
+		if next == noc.MaxCycles {
+			// A saturated sum bounds nothing, so it cannot pass the
+			// deadline test below, even against D = MaxInt64.
+			a.R[i] = next
+			a.status[i] = Diverged
+			return nil
+		}
 		if next == r {
 			a.R[i] = r
 			// Convergence alone is not schedulability: a flow whose
@@ -384,8 +401,8 @@ func (a *analyzer) idownXLWX(r int) (noc.Cycles, error) {
 			return 0, err
 		}
 		jiK := rk - a.sys.C(k)
-		hits := ceilDiv(rj+fk.Jitter+jiK, fk.Period)
-		sum += hits * (a.sys.C(k) + inner)
+		hits := ceilDiv(noc.SatAdd(noc.SatAdd(rj, fk.Jitter), jiK), fk.Period)
+		sum = noc.SatAdd(sum, noc.SatMul(hits, noc.SatAdd(a.sys.C(k), inner)))
 	}
 	a.ar.xlwxVal[r] = sum
 	a.ar.xlwxSet[r] = true
@@ -429,12 +446,12 @@ func (a *analyzer) idownIBN(r, i int) (noc.Cycles, error) {
 			if err != nil {
 				return 0, err
 			}
-			if alt := a.sys.C(k) + inner; alt < perHit {
+			if alt := noc.SatAdd(a.sys.C(k), inner); alt < perHit {
 				perHit = alt
 			}
 		}
-		hits := ceilDiv(rj+fk.Jitter, fk.Period)
-		sum += hits * perHit
+		hits := ceilDiv(noc.SatAdd(rj, fk.Jitter), fk.Period)
+		sum = noc.SatAdd(sum, noc.SatMul(hits, perHit))
 	}
 	a.ar.ibnVal[r] = sum
 	a.ar.ibnSet[r] = true

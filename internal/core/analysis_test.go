@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -111,6 +112,35 @@ func TestDivergedStatus(t *testing.T) {
 	}
 	if res.Flows[1].Status != core.Schedulable {
 		t.Fatalf("expected convergence, got %+v", res.Flows[1])
+	}
+}
+
+// overflowSystem is a 2×1 mesh where τj's release jitter sits five
+// cycles under MaxInt64. τi can wait behind a whole τj packet, so
+// R_i >= C_i + C_j = 114 > D_i = 50; an unchecked r + J_j wraps negative,
+// counts zero hits and reports R_i = C_i = 12 as schedulable.
+func overflowSystem(t *testing.T) *traffic.System {
+	t.Helper()
+	topo := noc.MustMesh(2, 1, noc.RouterConfig{BufDepth: 2, LinkLatency: 1, RouteLatency: 0})
+	return traffic.MustSystem(topo, []traffic.Flow{
+		{Name: "j", Priority: 1, Period: math.MaxInt64, Deadline: math.MaxInt64, Jitter: math.MaxInt64 - 5, Length: 100, Src: 0, Dst: 1},
+		{Name: "i", Priority: 2, Period: math.MaxInt64, Deadline: 50, Length: 10, Src: 0, Dst: 1},
+	})
+}
+
+func TestOverflowingWindowNotSchedulable(t *testing.T) {
+	sys := overflowSystem(t)
+	for _, m := range core.Methods() {
+		res, err := core.Analyze(sys, core.Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Flows[0]; got.Status != core.Schedulable || got.R != 102 {
+			t.Errorf("%s: τj = %+v, want schedulable at C_j = 102", m, got)
+		}
+		if got := res.Flows[1]; got.Status != core.Diverged || res.Schedulable {
+			t.Errorf("%s: τi = %+v (set schedulable %v), want diverged", m, got, res.Schedulable)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func (a *analyzer) replayEpisodes(i, j int) (noc.Cycles, error) {
 	var episodes noc.Cycles
 	for _, q := range a.sets.downstream(a.sets.pairRank(j, i)) {
 		fk := a.sys.Flow(a.sets.direct[q])
-		episodes += ceilDiv(rj+fk.Jitter, fk.Period)
+		episodes = noc.SatAdd(episodes, ceilDiv(noc.SatAdd(rj, fk.Jitter), fk.Period))
 	}
 	return episodes, nil
 }

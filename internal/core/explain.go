@@ -100,7 +100,7 @@ func (e *Engine) Explain(opt Options, flow int) (*Breakdown, error) {
 	}
 	var blockPerEpisode noc.Cycles
 	if linkl := e.sys.Topology().Config().LinkLatency; linkl > 1 {
-		blockPerEpisode = (linkl - 1) * noc.Cycles(a.sharedLowLinks(flow))
+		blockPerEpisode = noc.SatMul(linkl-1, noc.Cycles(a.sharedLowLinks(flow)))
 	}
 	episodes := noc.Cycles(1)
 	for _, j := range a.sets.Direct(flow) {
@@ -108,18 +108,18 @@ func (e *Engine) Explain(opt Options, flow int) (*Breakdown, error) {
 		if err != nil {
 			return nil, err
 		}
-		term.Hits = ceilDiv(a.R[flow]+term.Jitter, e.sys.Flow(j).Period)
-		term.Total = term.Hits * term.PerHit
+		term.Hits = ceilDiv(noc.SatAdd(a.R[flow], term.Jitter), e.sys.Flow(j).Period)
+		term.Total = noc.SatMul(term.Hits, term.PerHit)
 		if blockPerEpisode > 0 {
 			replays, err := a.replayEpisodes(flow, j)
 			if err != nil {
 				return nil, err
 			}
-			episodes += term.Hits * (1 + replays)
+			episodes = noc.SatAdd(episodes, noc.SatMul(term.Hits, noc.SatAdd(1, replays)))
 		}
 		b.Terms = append(b.Terms, term)
 	}
-	b.Blocking = blockPerEpisode * episodes
+	b.Blocking = noc.SatMul(blockPerEpisode, episodes)
 	return b, nil
 }
 

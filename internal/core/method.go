@@ -100,7 +100,7 @@ type sbMethod struct{}
 func (sbMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err error) {
 	jitter = a.sys.Flow(j).Jitter
 	if a.hasIndirectVia(i, j) {
-		jitter += a.R[j] - a.sys.C(j)
+		jitter = noc.SatAdd(jitter, a.R[j]-a.sys.C(j))
 	}
 	return jitter, a.sys.C(j), nil
 }
@@ -121,7 +121,7 @@ type slaMethod struct{}
 func (slaMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err error) {
 	jitter = a.sys.Flow(j).Jitter
 	if a.hasIndirectVia(i, j) {
-		jitter += a.R[j] - a.sys.C(j)
+		jitter = noc.SatAdd(jitter, a.R[j]-a.sys.C(j))
 	}
 	return jitter, a.slaHit(i, j), nil
 }
@@ -140,12 +140,12 @@ func (m slaMethod) explainTerm(a *analyzer, i, j int) (InterferenceTerm, error) 
 type xlwxMethod struct{}
 
 func (m xlwxMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err error) {
-	jitter = a.sys.Flow(j).Jitter + (a.R[j] - a.sys.C(j))
+	jitter = noc.SatAdd(a.sys.Flow(j).Jitter, a.R[j]-a.sys.C(j))
 	idown, err := m.idown(a, j, i)
 	if err != nil {
 		return 0, 0, err
 	}
-	return jitter, a.sys.C(j) + idown, nil
+	return jitter, noc.SatAdd(a.sys.C(j), idown), nil
 }
 
 func (xlwxMethod) idown(a *analyzer, j, i int) (noc.Cycles, error) {
@@ -169,12 +169,12 @@ func (m xlwxMethod) explainTerm(a *analyzer, i, j int) (InterferenceTerm, error)
 type ibnMethod struct{}
 
 func (m ibnMethod) term(a *analyzer, i, j int) (jitter, hit noc.Cycles, err error) {
-	jitter = a.sys.Flow(j).Jitter + (a.R[j] - a.sys.C(j))
+	jitter = noc.SatAdd(a.sys.Flow(j).Jitter, a.R[j]-a.sys.C(j))
 	idown, err := m.idown(a, j, i)
 	if err != nil {
 		return 0, 0, err
 	}
-	return jitter, a.sys.C(j) + idown, nil
+	return jitter, noc.SatAdd(a.sys.C(j), idown), nil
 }
 
 func (ibnMethod) idown(a *analyzer, j, i int) (noc.Cycles, error) {

@@ -477,5 +477,5 @@ func (s *Sets) BufferedInterference(i, j, bufDepth int) noc.Cycles {
 	if bufDepth > 0 {
 		buf = bufDepth
 	}
-	return noc.Cycles(buf) * cfg.LinkLatency * noc.Cycles(s.cd.size(i, j))
+	return noc.SatMul(noc.SatMul(noc.Cycles(buf), cfg.LinkLatency), noc.Cycles(s.cd.size(i, j)))
 }

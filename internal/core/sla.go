@@ -45,7 +45,7 @@ func (a *analyzer) slaHit(i, j int) noc.Cycles {
 		buf = a.opt.BufDepth
 	}
 	cj := a.sys.C(j)
-	saving := noc.Cycles(buf-1) * cfg.LinkLatency * noc.Cycles(a.sets.cd.size(i, j))
+	saving := noc.SatMul(noc.SatMul(noc.Cycles(buf-1), cfg.LinkLatency), noc.Cycles(a.sets.cd.size(i, j)))
 	if floor := cj - cfg.LinkLatency*noc.Cycles(a.sys.Flow(j).Length); saving > floor {
 		saving = floor
 	}

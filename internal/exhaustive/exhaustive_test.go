@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
 	"wormnoc/internal/sim"
 	"wormnoc/internal/traffic"
@@ -415,5 +416,49 @@ func TestPlanLimits(t *testing.T) {
 		if got := sp.SizeUnder(tc.mode); got != tc.want {
 			t.Errorf("SizeUnder(%v) = %d, want %d", tc.mode, got, tc.want)
 		}
+	}
+}
+
+// TestExploreMPBChainSBOptimistic pins, by complete proof, a system where
+// multi-point progressive blocking makes SB optimistic and the
+// buffer-aware terms are what cover it. On a 1×4 line with buf = 3, τk
+// (2→3) blocks τj (0→3) downstream of τj's contention domain with τi
+// (0→2); τj's stalled flits then replay into τi. SB charges τj's
+// packet once and claims 22; the proven worst is 24. XLWX and IBN both
+// bound it at 31, a sound deadline miss against D = 24: Eq. 8's min
+// saves nothing here, since bi_ij = buf·|cd_ij| = 9 equals C_k.
+func TestExploreMPBChainSBOptimistic(t *testing.T) {
+	topo, err := noc.NewMesh(4, 1, noc.RouterConfig{BufDepth: 3, LinkLatency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := traffic.MustSystem(topo, []traffic.Flow{
+		{Name: "k", Priority: 1, Period: 48, Deadline: 48, Length: 7, Src: 2, Dst: 3},
+		{Name: "j", Priority: 2, Period: 48, Deadline: 48, Length: 10, Src: 0, Dst: 3},
+		{Name: "i", Priority: 3, Period: 24, Deadline: 24, Length: 5, Src: 0, Dst: 2},
+	})
+	res, err := Explore(sys, Config{MaxStates: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const i = 2
+	if !res.Complete || !res.Proven(i) {
+		t.Fatalf("want a complete proof for τi: complete=%v truncation=%q", res.Complete, res.Truncation)
+	}
+	worst := res.Flows[i].Worst
+	if worst != 24 {
+		t.Fatalf("τi's proven worst = %d, want 24", worst)
+	}
+	bound := map[core.Method]noc.Cycles{}
+	for _, m := range []core.Method{core.SB, core.XLWX, core.IBN} {
+		r, err := core.Analyze(sys, core.Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound[m] = r.Flows[i].R
+	}
+	if !(bound[core.SB] < worst && worst <= bound[core.IBN] && bound[core.IBN] <= bound[core.XLWX]) {
+		t.Fatalf("want SB < worst <= IBN <= XLWX, got SB=%d worst=%d IBN=%d XLWX=%d",
+			bound[core.SB], worst, bound[core.IBN], bound[core.XLWX])
 	}
 }

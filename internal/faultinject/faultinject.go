@@ -7,10 +7,10 @@
 // effectively a no-op — unless a test has installed an Injector with
 // Enable. An installed injector matches the site (and optionally the
 // site-specific key) against its configured faults and either returns a
-// typed error, panics, sleeps, or reports a context cancellation,
-// letting the resilience machinery above (panic recovery, per-item
-// batch isolation, retries, circuit breakers) be exercised on demand
-// and reconciled exactly against the injector's fired counters.
+// typed error or panics, letting the resilience machinery above (panic
+// recovery, per-item batch isolation, retries, circuit breakers) be
+// exercised on demand and reconciled exactly against the injector's
+// fired counters.
 //
 // Determinism: a fault with Prob in (0, 1) decides each hit by hashing
 // (seed, site, hit ordinal), so a given seed always fires the same hit
@@ -22,11 +22,9 @@
 package faultinject
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Site names one instrumented injection point.
@@ -40,18 +38,6 @@ type Site string
 //	SiteServeCachePut:    the canonical request key (hex)
 //	SiteServeBatchItem:   the batch item index ("0", "1", …)
 //	SiteServeEngineBuild: the canonical system key (hex)
-//	SiteClusterRequest:   the backend name the coordinator dials
-//	SiteClusterProbe:     the backend name being health-probed
-//
-// The two cluster sites are the backend-level chaos vocabulary: a
-// KindError fault at SiteClusterRequest is a partition (the dial fails,
-// the coordinator fails over to the next replica), the same fault at
-// SiteClusterProbe kills the backend for membership purposes (enough
-// consecutive probe failures mark it dead and rebalance its shard), a
-// Times-bounded KindDelay at SiteClusterRequest is a slow-start
-// (transiently slow after joining), and an unbounded KindDelay is a
-// byzantine-slow backend — alive and correct but pathologically
-// latent, the case hedged requests exist for.
 const (
 	SiteParallelTask     Site = "parallel.task"
 	SiteCoreFixedPoint   Site = "core.fixedpoint"
@@ -59,8 +45,6 @@ const (
 	SiteServeCachePut    Site = "serve.cache.put"
 	SiteServeBatchItem   Site = "serve.batch.item"
 	SiteServeEngineBuild Site = "serve.engine.build"
-	SiteClusterRequest   Site = "cluster.request"
-	SiteClusterProbe     Site = "cluster.probe"
 )
 
 // Kind selects what a matched fault does.
@@ -73,25 +57,15 @@ const (
 	KindError Kind = iota
 	// KindPanic makes Fire panic, exercising the recovery boundaries.
 	KindPanic
-	// KindDelay makes Fire sleep for the fault's Delay (bounded by the
-	// context) and then continue, exercising deadline handling.
-	KindDelay
-	// KindCancel makes Fire return an error wrapping context.Canceled,
-	// exercising the cancellation paths without a real cancel.
-	KindCancel
 )
 
-// String returns the kind's name ("error", "panic", "delay", "cancel").
+// String returns the kind's name ("error", "panic").
 func (k Kind) String() string {
 	switch k {
 	case KindError:
 		return "error"
 	case KindPanic:
 		return "panic"
-	case KindDelay:
-		return "delay"
-	case KindCancel:
-		return "cancel"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -112,8 +86,6 @@ type Fault struct {
 	Prob float64
 	// Times caps how often the fault fires (0 = unlimited).
 	Times int
-	// Delay is the sleep duration for KindDelay.
-	Delay time.Duration
 	// Err overrides the returned error for KindError (default: a
 	// transient *InjectedError naming the site and key).
 	Err error
@@ -223,18 +195,18 @@ func hashSite(s Site) uint64 {
 }
 
 // Fire evaluates the enabled injector (if any) at site with the given
-// key. It returns a non-nil error for KindError and KindCancel faults,
-// panics for KindPanic faults, sleeps for KindDelay faults, and returns
-// nil otherwise. With no injector enabled it costs one atomic load.
-func Fire(ctx context.Context, site Site, key string) error {
+// key. It returns a non-nil error for KindError faults, panics for
+// KindPanic faults, and returns nil otherwise. With no injector enabled
+// it costs one atomic load.
+func Fire(site Site, key string) error {
 	in := active.Load()
 	if in == nil {
 		return nil
 	}
-	return in.fire(ctx, site, key)
+	return in.fire(site, key)
 }
 
-func (in *Injector) fire(ctx context.Context, site Site, key string) error {
+func (in *Injector) fire(site Site, key string) error {
 	var hit *faultState
 	in.mu.Lock()
 	for _, f := range in.faults {
@@ -265,23 +237,11 @@ func (in *Injector) fire(ctx context.Context, site Site, key string) error {
 	if hit == nil {
 		return nil
 	}
-	switch hit.Kind {
-	case KindPanic:
+	if hit.Kind == KindPanic {
 		panic(fmt.Sprintf("faultinject: injected panic at %s[%s]", site, key))
-	case KindDelay:
-		t := time.NewTimer(hit.Delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-		return nil
-	case KindCancel:
-		return fmt.Errorf("faultinject: injected cancel at %s[%s]: %w", site, key, context.Canceled)
-	default:
-		if hit.Err != nil {
-			return hit.Err
-		}
-		return &InjectedError{Site: site, Key: key}
 	}
+	if hit.Err != nil {
+		return hit.Err
+	}
+	return &InjectedError{Site: site, Key: key}
 }

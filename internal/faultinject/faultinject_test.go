@@ -1,12 +1,10 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestDisabledIsNoOp(t *testing.T) {
@@ -14,7 +12,7 @@ func TestDisabledIsNoOp(t *testing.T) {
 	if Enabled() {
 		t.Fatal("Enabled() = true with no injector installed")
 	}
-	if err := Fire(context.Background(), SiteParallelTask, "0"); err != nil {
+	if err := Fire(SiteParallelTask, "0"); err != nil {
 		t.Fatalf("Fire with no injector: %v", err)
 	}
 }
@@ -24,9 +22,8 @@ func TestKeyMatching(t *testing.T) {
 	Enable(in)
 	defer Disable()
 
-	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		err := Fire(ctx, SiteServeBatchItem, strconv.Itoa(i))
+		err := Fire(SiteServeBatchItem, strconv.Itoa(i))
 		want := i == 3 || i == 7
 		if (err != nil) != want {
 			t.Fatalf("key %d: err = %v, want fired=%v", i, err, want)
@@ -45,7 +42,7 @@ func TestKeyMatching(t *testing.T) {
 		}
 	}
 	// A different site never matches, even with the same key.
-	if err := Fire(ctx, SiteCoreFixedPoint, "3"); err != nil {
+	if err := Fire(SiteCoreFixedPoint, "3"); err != nil {
 		t.Fatalf("other site fired: %v", err)
 	}
 	if got := in.Fired()[SiteServeBatchItem]; got != 2 {
@@ -63,7 +60,7 @@ func TestTimesCap(t *testing.T) {
 
 	fired := 0
 	for i := 0; i < 10; i++ {
-		if Fire(context.Background(), SiteCoreFixedPoint, "0") != nil {
+		if Fire(SiteCoreFixedPoint, "0") != nil {
 			fired++
 		}
 	}
@@ -82,7 +79,7 @@ func TestProbDeterministicAcrossRuns(t *testing.T) {
 		defer Disable()
 		var hits []int
 		for i := 0; i < 400; i++ {
-			if Fire(context.Background(), SiteParallelTask, strconv.Itoa(i)) != nil {
+			if Fire(SiteParallelTask, strconv.Itoa(i)) != nil {
 				hits = append(hits, i)
 			}
 		}
@@ -131,45 +128,7 @@ func TestKindPanic(t *testing.T) {
 			t.Fatalf("panic value = %v", v)
 		}
 	}()
-	Fire(context.Background(), SiteServeEngineBuild, "k")
-}
-
-func TestKindDelayBoundedByContext(t *testing.T) {
-	Enable(New(1).Add(Fault{Site: SiteServeCacheGet, Kind: KindDelay, Delay: time.Hour}))
-	defer Disable()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := Fire(ctx, SiteServeCacheGet, "k"); err != nil {
-		t.Fatalf("KindDelay returned error: %v", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("delay ignored context: slept %v", d)
-	}
-}
-
-func TestKindDelayElapses(t *testing.T) {
-	Enable(New(1).Add(Fault{Site: SiteServeCacheGet, Kind: KindDelay, Delay: 2 * time.Millisecond}))
-	defer Disable()
-
-	start := time.Now()
-	if err := Fire(context.Background(), SiteServeCacheGet, "k"); err != nil {
-		t.Fatalf("KindDelay returned error: %v", err)
-	}
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Fatalf("delay too short: %v", d)
-	}
-}
-
-func TestKindCancel(t *testing.T) {
-	Enable(New(1).Add(Fault{Site: SiteServeBatchItem, Kind: KindCancel}))
-	defer Disable()
-
-	err := Fire(context.Background(), SiteServeBatchItem, "0")
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("KindCancel err = %v, want wrapping context.Canceled", err)
-	}
+	Fire(SiteServeEngineBuild, "k")
 }
 
 func TestCustomError(t *testing.T) {
@@ -177,7 +136,7 @@ func TestCustomError(t *testing.T) {
 	Enable(New(1).Add(Fault{Site: SiteServeCachePut, Kind: KindError, Err: sentinel}))
 	defer Disable()
 
-	if err := Fire(context.Background(), SiteServeCachePut, "k"); !errors.Is(err, sentinel) {
+	if err := Fire(SiteServeCachePut, "k"); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the configured sentinel", err)
 	}
 }
@@ -191,59 +150,17 @@ func TestFirstMatchingFaultWins(t *testing.T) {
 	defer Disable()
 
 	// Key 5 matches the first fault; the panic fault never sees it.
-	if err := Fire(context.Background(), SiteParallelTask, "5"); !errors.Is(err, sentinel) {
+	if err := Fire(SiteParallelTask, "5"); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want first fault's sentinel", err)
 	}
 }
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindError: "error", KindPanic: "panic", KindDelay: "delay", KindCancel: "cancel", Kind(99): "Kind(99)",
+		KindError: "error", KindPanic: "panic", Kind(99): "Kind(99)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
 		}
-	}
-}
-
-// The backend-level chaos vocabulary: a partition at one backend's
-// request site fires only for that backend, a kill at the probe site
-// fires independently, and a Times-bounded delay models a slow-start
-// that clears.
-func TestClusterSites(t *testing.T) {
-	in := New(7).
-		Add(Fault{Site: SiteClusterRequest, Kind: KindError, Keys: []string{"w1"}}).
-		Add(Fault{Site: SiteClusterProbe, Kind: KindError, Keys: []string{"w2"}}).
-		Add(Fault{Site: SiteClusterRequest, Kind: KindDelay, Keys: []string{"w3"}, Delay: time.Millisecond, Times: 2})
-	Enable(in)
-	defer Disable()
-	ctx := context.Background()
-
-	// w1 is partitioned at the request site only.
-	if err := Fire(ctx, SiteClusterRequest, "w1"); err == nil {
-		t.Fatal("partitioned backend's request did not fail")
-	}
-	if err := Fire(ctx, SiteClusterProbe, "w1"); err != nil {
-		t.Fatalf("w1 probe failed but only w2 is killed: %v", err)
-	}
-	// w2 fails probes (membership kill) but requests still connect.
-	if err := Fire(ctx, SiteClusterProbe, "w2"); err == nil {
-		t.Fatal("killed backend's probe did not fail")
-	}
-	if err := Fire(ctx, SiteClusterRequest, "w2"); err != nil {
-		t.Fatalf("w2 request failed but only w1 is partitioned: %v", err)
-	}
-	// w3's slow-start delays exactly twice, then clears.
-	for i := 0; i < 3; i++ {
-		if err := Fire(ctx, SiteClusterRequest, "w3"); err != nil {
-			t.Fatalf("slow-start hit %d returned an error: %v", i, err)
-		}
-	}
-	fired := in.Fired()
-	if fired[SiteClusterRequest] != 3 { // 1 partition + 2 slow-start delays
-		t.Fatalf("SiteClusterRequest fired %d, want 3", fired[SiteClusterRequest])
-	}
-	if fired[SiteClusterProbe] != 1 {
-		t.Fatalf("SiteClusterProbe fired %d, want 1", fired[SiteClusterProbe])
 	}
 }

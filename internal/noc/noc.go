@@ -22,12 +22,38 @@ package noc
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Cycles is a duration or instant measured in NoC clock cycles. All
 // latencies, periods, deadlines and jitters in this module are expressed
 // in cycles of the (single, global) network clock.
 type Cycles int64
+
+// MaxCycles is the largest representable cycle count. SatAdd and SatMul
+// clamp to it instead of wrapping, and the analyses treat a value that
+// reaches it as unbounded.
+const MaxCycles = Cycles(math.MaxInt64)
+
+// SatAdd returns a+b for non-negative a and b, or MaxCycles when the
+// sum does not fit.
+func SatAdd(a, b Cycles) Cycles {
+	if s := a + b; s >= 0 {
+		return s
+	}
+	return MaxCycles
+}
+
+// SatMul returns a·b for non-negative a and b, or MaxCycles when the
+// product does not fit.
+func SatMul(a, b Cycles) Cycles {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return MaxCycles
+	}
+	return Cycles(lo)
+}
 
 // NodeID identifies a processing node π attached to exactly one router.
 // Nodes and routers share the same index space: node i is attached to

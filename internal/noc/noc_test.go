@@ -207,3 +207,24 @@ func TestMustMeshPanics(t *testing.T) {
 	}()
 	MustMesh(0, 0, defaultCfg())
 }
+
+func TestSaturatingArithmetic(t *testing.T) {
+	for _, tc := range []struct {
+		a, b, sum, prod Cycles
+	}{
+		{0, 0, 0, 0},
+		{3, 4, 7, 12},
+		{MaxCycles, 0, MaxCycles, 0},
+		{MaxCycles, 1, MaxCycles, MaxCycles},
+		{MaxCycles - 5, 12, MaxCycles, MaxCycles},
+		{1 << 32, 1 << 31, 1<<32 + 1<<31, MaxCycles},
+		{1 << 31, 1 << 31, 1 << 32, 1 << 62},
+	} {
+		if got := SatAdd(tc.a, tc.b); got != tc.sum {
+			t.Errorf("SatAdd(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.sum)
+		}
+		if got := SatMul(tc.a, tc.b); got != tc.prod {
+			t.Errorf("SatMul(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.prod)
+		}
+	}
+}

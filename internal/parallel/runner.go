@@ -66,7 +66,7 @@ func safeCall(ctx context.Context, w, i int, fn func(w, i int) error) (err error
 		}
 	}()
 	if faultinject.Enabled() {
-		if ferr := faultinject.Fire(ctx, faultinject.SiteParallelTask, strconv.Itoa(i)); ferr != nil {
+		if ferr := faultinject.Fire(faultinject.SiteParallelTask, strconv.Itoa(i)); ferr != nil {
 			return ferr
 		}
 	}

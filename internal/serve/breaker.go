@@ -194,40 +194,3 @@ func (b *breaker) counters() (trips, shed int64) {
 	defer b.mu.Unlock()
 	return b.trips, b.shed
 }
-
-// Breaker is the exported face of the per-key error-budget circuit
-// breaker, for callers outside this package. The serving layer keys it
-// by analysis method; the cluster coordinator (internal/cluster) reuses
-// the identical lifecycle keyed by backend name, so a misbehaving
-// backend is shed and probed exactly like a misbehaving method. Safe
-// for concurrent use.
-type Breaker struct {
-	b *breaker
-}
-
-// NewBreaker builds a breaker with the given sliding window size, fault
-// threshold and open-state cooldown (see the package's breaker doc for
-// the full lifecycle).
-func NewBreaker(window, threshold int, cooldown time.Duration) *Breaker {
-	return &Breaker{b: newBreaker(window, threshold, cooldown)}
-}
-
-// Allow reports whether a request for the key may proceed; shed
-// requests are counted.
-func (b *Breaker) Allow(key string) bool { return b.b.allow(key) }
-
-// Record feeds one outcome into the key's window; fault marks
-// error-budget-consuming failures only.
-func (b *Breaker) Record(key string, fault bool) { b.b.record(key, fault) }
-
-// Release hands back a half-open probe slot taken by Allow when the
-// caller finishes without a recordable outcome (e.g. a hedged request
-// cancelled after losing its race).
-func (b *Breaker) Release(key string) { b.b.release(key) }
-
-// Open returns the keys whose breakers are currently not closed,
-// sorted.
-func (b *Breaker) Open() []string { return b.b.openMethods() }
-
-// Counters returns the cumulative trip and shed counts.
-func (b *Breaker) Counters() (trips, shed int64) { return b.b.counters() }

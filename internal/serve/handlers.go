@@ -239,7 +239,7 @@ func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.
 	key := canon.Key(doc, opt)
 	cacheOK := true
 	if faultinject.Enabled() {
-		if ferr := faultinject.Fire(ctx, faultinject.SiteServeCacheGet, key); ferr != nil {
+		if ferr := faultinject.Fire(faultinject.SiteServeCacheGet, key); ferr != nil {
 			cacheOK = false
 		}
 	}
@@ -287,7 +287,7 @@ func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.
 	if cacheOK {
 		putOK := true
 		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(ctx, faultinject.SiteServeCachePut, key); ferr != nil {
+			if ferr := faultinject.Fire(faultinject.SiteServeCachePut, key); ferr != nil {
 				putOK = false
 			}
 		}
@@ -485,7 +485,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	runner := &parallel.Runner{Workers: s.cfg.BatchWorkers, KeepGoing: true}
 	runErr := runner.RunContext(ctx, n, func(i int) error {
 		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(ctx, faultinject.SiteServeBatchItem, strconv.Itoa(i)); ferr != nil {
+			if ferr := faultinject.Fire(faultinject.SiteServeBatchItem, strconv.Itoa(i)); ferr != nil {
 				return ferr
 			}
 		}
@@ -570,54 +570,26 @@ func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	trips, shed := s.brk.counters()
-	snap := s.met.snapshot(
+	writeJSON(w, http.StatusOK, s.met.snapshot(
 		len(s.sem), s.cfg.MaxInFlight,
 		s.results.Len(), s.cfg.ResultCacheSize,
 		s.engines.Len(), s.cfg.EngineCacheSize,
 		s.liveTelemetry(),
 		trips, shed, s.brk.openMethods(),
-	)
-	// A coordinator's local node folds the fleet counters in, so one
-	// /metrics scrape covers both the local engine pool and the cluster
-	// (hedges, retries, rebalances, cluster_backends{state=...}).
-	if s.cfg.ClusterStatus != nil {
-		if cs := s.cfg.ClusterStatus(); cs != nil {
-			snap["cluster"] = cs
-		}
-	}
-	writeJSON(w, http.StatusOK, snap)
+	))
 }
 
 // handleHealthz reports liveness plus the degraded-readiness state of
 // the circuit breaker: while one or more methods are tripped the server
 // stays up (200) but flags itself degraded and names the shed methods,
 // so orchestration can distinguish "partially serving" from "dead"
-// (draining is still a 503 via the wrap gate). Running as a
-// coordinator's local node (Config.ClusterStatus set), the body
-// additionally reports per-backend and per-shard fleet state — a dead
-// or breaker-open backend flags the coordinator degraded exactly like a
-// tripped local method does.
+// (draining is still a 503 via the wrap gate).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	open := s.brk.openMethods()
-	ok := len(open) == 0
-	body := map[string]any{}
+	body := map[string]any{"ok": len(open) == 0}
 	if len(open) > 0 {
 		body["degraded"] = true
 		body["open_methods"] = open
 	}
-	if s.cfg.ClusterStatus != nil {
-		if cs := s.cfg.ClusterStatus(); cs != nil {
-			body["cluster"] = map[string]any{
-				"backends":       cs.Backends,
-				"shards_covered": cs.ShardsCovered,
-				"states":         cs.States,
-			}
-			if !cs.Healthy() {
-				ok = false
-				body["degraded"] = true
-			}
-		}
-	}
-	body["ok"] = ok
 	writeJSON(w, http.StatusOK, body)
 }

@@ -104,13 +104,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped method sheds before a probe
 	// request is let through. Default 15s.
 	BreakerCooldown time.Duration
-	// ClusterStatus, when non-nil, marks this server as a fleet
-	// coordinator's local node: /healthz gains a per-backend/per-shard
-	// "cluster" section (and reports degraded while any backend is dead
-	// or shed) and /metrics gains the cluster counters, including the
-	// cluster_backends{state=...} gauge. Standalone workers leave it
-	// nil. The callback must be safe for concurrent use.
-	ClusterStatus func() *ClusterStatus
 }
 
 func (c Config) withDefaults() Config {
@@ -336,7 +329,7 @@ func (s *Server) engine(ctx context.Context, doc traffic.Document) (*core.Engine
 		return e, nil
 	}
 	if faultinject.Enabled() {
-		if err := faultinject.Fire(ctx, faultinject.SiteServeEngineBuild, key); err != nil {
+		if err := faultinject.Fire(faultinject.SiteServeEngineBuild, key); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,6 +96,31 @@ func TestAnalyzeDidactic(t *testing.T) {
 	}
 	if out.Key == "" {
 		t.Fatal("response carries no cache key")
+	}
+}
+
+// An int64-wrapping fixed-point window must not come back schedulable:
+// τj's jitter sits five cycles under MaxInt64, and τi (D = 50) can wait
+// behind a whole 102-cycle τj packet.
+func TestAnalyzeOverflowNotSchedulable(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	doc := traffic.Document{
+		Mesh: traffic.MeshSpec{Width: 2, Height: 1, BufDepth: 2, LinkLatency: 1, RouteLatency: 0},
+		Flows: []traffic.FlowSpec{
+			{Name: "j", Priority: 1, Period: math.MaxInt64, Deadline: math.MaxInt64, Jitter: math.MaxInt64 - 5, Length: 100, Src: 0, Dst: 1},
+			{Name: "i", Priority: 2, Period: math.MaxInt64, Deadline: 50, Length: 10, Src: 0, Dst: 1},
+		},
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: doc, Method: "IBN"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out AnalyzeResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Schedulable || len(out.Flows) != 2 || out.Flows[1].Status != "diverged" {
+		t.Fatalf("overflowing system answered %s", body)
 	}
 }
 

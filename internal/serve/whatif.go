@@ -255,7 +255,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 
 		cacheOK := true
 		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(ctx, faultinject.SiteServeCacheGet, prevKey); ferr != nil {
+			if ferr := faultinject.Fire(faultinject.SiteServeCacheGet, prevKey); ferr != nil {
 				cacheOK = false
 			}
 		}
@@ -321,7 +321,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if cacheOK {
 			putOK := true
 			if faultinject.Enabled() {
-				if ferr := faultinject.Fire(ctx, faultinject.SiteServeCachePut, prevKey); ferr != nil {
+				if ferr := faultinject.Fire(faultinject.SiteServeCachePut, prevKey); ferr != nil {
 					putOK = false
 				}
 			}

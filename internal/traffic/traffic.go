@@ -117,6 +117,9 @@ func NewSystem(topo *noc.Topology, flows []Flow) (*System, error) {
 		}
 		s.routes[i] = route
 		s.zeroC[i] = ZeroLoadLatency(topo.Config(), route.Len(), f.Length)
+		if s.zeroC[i] == noc.MaxCycles {
+			return nil, fmt.Errorf("traffic: flow %d (%q): zero-load latency (Eq. 1) overflows int64 cycles", i, f.Name)
+		}
 	}
 	s.byPriority = make([]int, len(flows))
 	for i := range s.byPriority {
@@ -146,11 +149,13 @@ func MustSystem(topo *noc.Topology, flows []Flow) *System {
 //
 // i.e. the header's zero-load latency (one routing decision per traversed
 // router plus one link traversal per link) plus one link latency per
-// payload flit pipelined behind the header.
+// payload flit pipelined behind the header. A latency that does not fit
+// in int64 saturates at noc.MaxCycles, which NewSystem rejects.
 func ZeroLoadLatency(cfg noc.RouterConfig, routeLen, length int) noc.Cycles {
-	return cfg.RouteLatency*noc.Cycles(routeLen-1) +
-		cfg.LinkLatency*noc.Cycles(routeLen) +
-		cfg.LinkLatency*noc.Cycles(length-1)
+	return noc.SatAdd(noc.SatAdd(
+		noc.SatMul(cfg.RouteLatency, noc.Cycles(routeLen-1)),
+		noc.SatMul(cfg.LinkLatency, noc.Cycles(routeLen))),
+		noc.SatMul(cfg.LinkLatency, noc.Cycles(length-1)))
 }
 
 // Topology returns the platform the flow set is bound to.

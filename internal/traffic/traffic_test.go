@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,11 +57,26 @@ func TestZeroLoadLatencyEquation1(t *testing.T) {
 		// routl·(|r|-1) + linkl·|r| + linkl·(L-1)
 		{noc.RouterConfig{LinkLatency: 2, RouteLatency: 3}, 4, 10, 3*3 + 2*4 + 2*9},
 		{noc.RouterConfig{LinkLatency: 1, RouteLatency: 1}, 2, 1, 1 + 2},
+		// A latency past int64 saturates instead of wrapping negative.
+		{noc.RouterConfig{LinkLatency: math.MaxInt64 / 2, RouteLatency: 0}, 3, 1, noc.MaxCycles},
+		{noc.RouterConfig{LinkLatency: 1, RouteLatency: 0}, 3, math.MaxInt, noc.MaxCycles},
 	}
 	for i, tc := range cases {
 		if got := ZeroLoadLatency(tc.cfg, tc.routeLen, tc.length); got != tc.want {
 			t.Errorf("case %d: C = %d, want %d", i, got, tc.want)
 		}
+	}
+}
+
+// A flow whose Eq. 1 latency does not fit in int64 cycles is rejected
+// by name, so no analysis ever sees a wrapped C.
+func TestNewSystemRejectsOverflowingZeroLoadLatency(t *testing.T) {
+	f := validFlow()
+	f.Name = "huge"
+	f.Length = math.MaxInt
+	_, err := NewSystem(testTopo(t), []Flow{f})
+	if err == nil || !strings.Contains(err.Error(), `flow 0 ("huge")`) || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("err = %v, want an overflow error naming flow 0", err)
 	}
 }
 

@@ -114,7 +114,8 @@ const (
 	DeadlineMiss = core.DeadlineMiss
 	// DependencyFailed: a required higher-priority bound is unavailable.
 	DependencyFailed = core.DependencyFailed
-	// Diverged: the fixed point did not converge within the iteration cap.
+	// Diverged: the fixed point did not converge within the iteration
+	// cap, or its sum exceeded int64 cycles.
 	Diverged = core.Diverged
 )
 
