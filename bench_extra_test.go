@@ -25,7 +25,7 @@ func BenchmarkSLA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.SLA}); err != nil {
+		if _, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.SLA}); err != nil {
 			b.Fatal(err)
 		}
 	}

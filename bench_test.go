@@ -156,7 +156,7 @@ func BenchmarkAblationEq7(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AnalyzeWithSets(sys, sets, tc.opt); err != nil {
+				if _, err := core.NewEngineWithSets(sys, sets).Analyze(tc.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,7 +178,7 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: m}); err != nil {
+					if _, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: m}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -160,12 +160,12 @@ func main() {
 
 	var ibn, xlwx *core.Result
 	if *bounds {
-		sets := core.BuildSets(sys)
-		ibn, err = core.AnalyzeWithSets(sys, sets, core.Options{Method: core.IBN})
+		eng := core.NewEngine(sys)
+		ibn, err = eng.Analyze(core.Options{Method: core.IBN})
 		if err != nil {
 			fatal(err)
 		}
-		xlwx, err = core.AnalyzeWithSets(sys, sets, core.Options{Method: core.XLWX})
+		xlwx, err = eng.Analyze(core.Options{Method: core.XLWX})
 		if err != nil {
 			fatal(err)
 		}

@@ -154,38 +154,23 @@ func Analyze(sys *traffic.System, opt Options) (*Result, error) {
 	return NewEngine(sys).Analyze(opt)
 }
 
-// AnalyzeContext is Analyze with early cancellation: the run aborts with
-// ctx.Err() as soon as the context expires, checked between flows and
-// every few fixed-point iterations (see Engine.AnalyzeContext).
-func AnalyzeContext(ctx context.Context, sys *traffic.System, opt Options) (*Result, error) {
-	return NewEngine(sys).AnalyzeContext(ctx, opt)
-}
-
-// AnalyzeWithSets is Analyze with pre-built interference sets, allowing
-// several analyses of the same flow set (e.g. SB vs XLWX vs IBN at
-// several buffer depths) to share the set construction.
-func AnalyzeWithSets(sys *traffic.System, sets *Sets, opt Options) (*Result, error) {
-	return NewEngineWithSets(sys, sets).Analyze(opt)
-}
-
-// term is one direct interferer's precomputed contribution to the
+// hitTerm is one direct interferer's precomputed contribution to the
 // fixed-point iteration. Interference terms are independent of R_i (they
 // depend only on the already-final bounds of higher-priority flows), so
 // they are computed once and the iteration only re-evaluates ceilings.
-type term struct {
+type hitTerm struct {
 	jitter  noc.Cycles // J_j (+ interference jitter where applicable)
 	period  noc.Cycles // T_j
 	hit     noc.Cycles // interference added per hit of τj
 	replays noc.Cycles // MPB replay episodes per hit (blocking term)
 }
 
-// analyzer is the working state of one analysis run: the selected
-// method, the arena holding results and memos, and the run's telemetry.
+// analyzer is the working state of one analysis run: the options, the
+// arena holding results and memos, and the run's telemetry.
 type analyzer struct {
 	sys  *traffic.System
 	sets *Sets
 	opt  Options
-	m    method
 	ar   *arena
 	// ctx cancels the run early; checked between flows and periodically
 	// inside the fixed-point loop. Never nil (context.Background() when
@@ -234,21 +219,18 @@ const ctxCheckInterval = 64
 // fault was injected at the fixed-point site under test); every
 // analytical outcome (including divergence) is reported via the flow's
 // status instead.
-func (a *analyzer) analyzeFlow(i int) error {
-	return a.analyzeFlowFrom(i, 0)
-}
-
-// analyzeFlowFrom is analyzeFlow with a warm-start seed: when seed
-// exceeds the zero-load latency, the fixed-point iteration starts there
-// instead of at C_i. The iteration function F is monotone in r, so any
-// seed r0 with C_i <= r0 <= lfp (the least fixed point at or above C_i)
-// yields iterates squeezed between the cold Kleene chain and lfp, and
-// therefore converges to exactly lfp — the monotone-restart argument the
+//
+// A seed above the zero-load latency warm-starts the fixed-point
+// iteration there instead of at C_i (0 means a cold start). The
+// iteration function F is monotone in r, so any seed r0 with
+// C_i <= r0 <= lfp (the least fixed point at or above C_i) yields
+// iterates squeezed between the cold Kleene chain and lfp, and therefore
+// converges to exactly lfp — the monotone-restart argument the
 // incremental engine relies on when it seeds from a previous converged
 // bound after an interference-enlarging edit. A seed above lfp would
 // converge to some higher fixed point; callers must only pass seeds
 // known to be at or below the new least fixed point.
-func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
+func (a *analyzer) analyzeFlow(i int, seed noc.Cycles) error {
 	defer func() { a.analyzed[i] = true }()
 	fi := a.sys.Flow(i)
 	ci := a.sys.C(i)
@@ -270,12 +252,12 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 			a.status[i] = DependencyFailed
 			return nil
 		}
-		jitter, hit, err := a.m.term(a, i, j)
+		jitter, hit, err := a.term(i, j)
 		if err != nil {
 			a.status[i] = DependencyFailed
 			return nil
 		}
-		t := term{jitter: jitter, period: a.sys.Flow(j).Period, hit: hit}
+		t := hitTerm{jitter: jitter, period: a.sys.Flow(j).Period, hit: hit}
 		if blockPerEpisode > 0 {
 			replays, err := a.replayEpisodes(i, j)
 			if err != nil {
@@ -343,12 +325,6 @@ func (a *analyzer) analyzeFlowFrom(i int, seed noc.Cycles) error {
 			return nil
 		}
 	}
-}
-
-// hasIndirectVia reports whether some flow of S^I_i directly interferes
-// with τj, i.e. whether τj can pass indirect interference on to τi.
-func (a *analyzer) hasIndirectVia(i, j int) bool {
-	return a.sets.hasIndirectVia(a.sets.pairRank(j, i))
 }
 
 // requireR returns the final response-time bound of flow j, or an error

@@ -194,7 +194,7 @@ func TestBackToBackHit(t *testing.T) {
 	sys = traffic.MustSystem(topo, flows)
 
 	sets := core.BuildSets(sys)
-	sb, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.SB})
+	sb, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.SB})
 	if err != nil {
 		t.Fatal(err)
 	}

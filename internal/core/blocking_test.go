@@ -84,7 +84,7 @@ func TestBlockingExplainIdentity(t *testing.T) {
 		{Name: "lo", Priority: 2, Period: 4000, Deadline: 4000, Length: 20, Src: 0, Dst: 4},
 	})
 	sets := core.BuildSets(sys)
-	b, err := core.Explain(sys, sets, core.Options{Method: core.IBN}, 0)
+	b, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.IBN}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestChainHandComputed(t *testing.T) {
 		core.SLA:  {22, 64, 151, 160},
 	}
 	for m, exp := range want {
-		res, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: m})
+		res, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,14 +116,14 @@ func TestChainHandComputed(t *testing.T) {
 func TestChainExplainRecursion(t *testing.T) {
 	sys := chainSystem(t)
 	sets := core.BuildSets(sys)
-	ibn, err := core.Explain(sys, sets, core.Options{Method: core.IBN}, 3)
+	ibn, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.IBN}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ibn.Terms) != 1 || ibn.Terms[0].IDown != 8 || ibn.Terms[0].Hits != 1 {
 		t.Errorf("IBN term: %+v", ibn.Terms)
 	}
-	xlwx, err := core.Explain(sys, sets, core.Options{Method: core.XLWX}, 3)
+	xlwx, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.XLWX}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

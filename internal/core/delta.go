@@ -186,7 +186,7 @@ func (d Delta) structural() bool {
 // grows reports whether applying d to sys can only enlarge (never
 // shrink) any flow's interference under the analysis selected by opt —
 // the precondition for seeding the fixed points from the previous
-// converged bounds (see analyzeFlowFrom's monotone-restart argument).
+// converged bounds (see analyzeFlow's monotone-restart argument).
 // The classification is per method:
 //
 //   - a period decrease, jitter increase, or payload increase enlarges

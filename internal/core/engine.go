@@ -83,7 +83,7 @@ type Engine struct {
 }
 
 // NewEngine builds the interference sets of the system and returns an
-// engine ready to run any registered analysis over them.
+// engine ready to run any of the four analyses over them.
 func NewEngine(sys *traffic.System) *Engine {
 	return NewEngineWithSets(sys, BuildSets(sys))
 }
@@ -118,7 +118,7 @@ type arena struct {
 	xlwxVal, ibnVal []noc.Cycles
 	xlwxSet, ibnSet []bool
 	// terms is scratch space for the per-flow interference terms.
-	terms []term
+	terms []hitTerm
 }
 
 // newArena allocates the working state for a system of n flows and p
@@ -136,75 +136,64 @@ func newArena(n, p int) *arena {
 	}
 }
 
-func (e *Engine) acquire(opt Options, m method) *analyzer {
-	ar, _ := e.pool.Get().(*arena)
-	if ar == nil {
-		ar = newArena(e.sys.NumFlows(), e.sets.numPairs())
-	} else {
-		for i := range ar.R {
-			ar.R[i] = 0
-			ar.status[i] = Schedulable
-			ar.analyzed[i] = false
-			ar.flowNanos[i] = 0
-		}
-		for i := range ar.xlwxSet {
-			ar.xlwxSet[i] = false
-			ar.ibnSet[i] = false
+// clearMemos forgets every I^down memo entry.
+func (ar *arena) clearMemos() {
+	clear(ar.xlwxSet)
+	clear(ar.ibnSet)
+}
+
+// result publishes the arena's per-flow outcomes as a fresh Result.
+func (ar *arena) result(m Method) *Result {
+	res := &Result{Method: m, Flows: make([]FlowResult, len(ar.R)), Schedulable: true}
+	for i := range res.Flows {
+		res.Flows[i] = FlowResult{R: ar.R[i], Status: ar.status[i]}
+		if ar.status[i] != Schedulable {
+			res.Schedulable = false
 		}
 	}
+	return res
+}
+
+// newAnalyzer binds one run over sys and sets to the arena ar. A nil ctx
+// is treated as context.Background().
+func newAnalyzer(ctx context.Context, sys *traffic.System, sets *Sets, opt Options, ar *arena) *analyzer {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	return &analyzer{
-		sys:      e.sys,
-		sets:     e.sets,
+		sys:      sys,
+		sets:     sets,
 		opt:      opt,
-		m:        m,
 		ar:       ar,
+		ctx:      ctx,
 		R:        ar.R,
 		status:   ar.status,
 		analyzed: ar.analyzed,
 	}
 }
 
-// release merges the run's telemetry into the engine and returns the
-// arena to the pool. The analyzer must not be used afterwards.
-func (e *Engine) release(a *analyzer) {
-	e.mu.Lock()
-	e.tel.Add(a.tel)
-	e.mu.Unlock()
-	e.pool.Put(a.ar)
-}
-
-// prepare validates the options against the method registry and applies
-// the iteration-cap default — the single place both Analyze and Explain
-// (and any future entry point) normalise options.
-func prepare(opt Options) (method, Options, error) {
-	m, ok := methods[opt.Method]
-	if !ok {
-		return nil, opt, fmt.Errorf("core: unknown analysis method %d", int(opt.Method))
+// prepare validates the method selector and applies the iteration-cap
+// default — the single place every entry point normalises options.
+func prepare(opt Options) (Options, error) {
+	switch opt.Method {
+	case SB, XLWX, IBN, SLA:
+	default:
+		return opt, fmt.Errorf("core: unknown analysis method %d", int(opt.Method))
 	}
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = DefaultMaxIterations
 	}
-	return m, opt, nil
+	return opt, nil
 }
 
-// run executes one full analysis pass (highest to lowest priority) and
-// returns the analyzer holding the final per-flow state. The caller
-// must release it via e.release. A cancelled context aborts the pass
-// between flows or mid-iteration and surfaces ctx.Err(); the partially
-// filled analyzer is released here, never returned.
-func (e *Engine) run(ctx context.Context, opt Options) (*analyzer, error) {
-	m, opt, err := prepare(opt)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	a := e.acquire(opt, m)
-	a.ctx = ctx
-	for _, i := range e.sys.ByPriority() {
+// fullPass analyses every flow from highest to lowest priority, timing
+// each. A cancelled context aborts it between flows or mid-iteration
+// with ctx.Err(), leaving the arena partially filled.
+func (a *analyzer) fullPass() error {
+	a.tel.Runs = 1
+	for _, i := range a.sys.ByPriority() {
 		t0 := time.Now()
-		err := a.analyzeFlow(i)
+		err := a.analyzeFlow(i, 0)
 		d := time.Since(t0).Nanoseconds()
 		a.ar.flowNanos[i] = d
 		a.tel.FlowNanos += d
@@ -213,13 +202,44 @@ func (e *Engine) run(ctx context.Context, opt Options) (*analyzer, error) {
 		}
 		a.tel.Flows++
 		if err != nil {
-			a.tel.Runs = 1
-			e.release(a)
-			return nil, err
+			return err
 		}
 	}
-	a.tel.Runs = 1
-	return a, nil
+	return nil
+}
+
+// run executes one full pass on a pooled arena behind Guard("analyze"),
+// so a panic anywhere in the analysis returns an *InternalError and the
+// engine stays usable. use reads the outcome off the analyzer before the
+// arena goes back to the pool; it runs only when the pass completed.
+func (e *Engine) run(ctx context.Context, opt Options, use func(a *analyzer) error) error {
+	opt, err := prepare(opt)
+	if err != nil {
+		return err
+	}
+	ar, _ := e.pool.Get().(*arena)
+	if ar == nil {
+		ar = newArena(e.sys.NumFlows(), e.sets.numPairs())
+	} else {
+		clear(ar.R)
+		clear(ar.status) // Schedulable is the zero status
+		clear(ar.analyzed)
+		clear(ar.flowNanos)
+		ar.clearMemos()
+	}
+	a := newAnalyzer(ctx, e.sys, e.sets, opt, ar)
+	defer func() {
+		e.mu.Lock()
+		e.tel.Add(a.tel)
+		e.mu.Unlock()
+		e.pool.Put(ar)
+	}()
+	return Guard("analyze", func() error {
+		if err := a.fullPass(); err != nil {
+			return err
+		}
+		return use(a)
+	})
 }
 
 // Analyze computes worst-case response-time bounds for every flow of the
@@ -233,38 +253,29 @@ func (e *Engine) Analyze(opt Options) (*Result, error) {
 // checked before each flow and every ctxCheckInterval fixed-point
 // iterations, so even a single pathological flow (huge deadline, load at
 // the convergence boundary) aborts promptly rather than iterating to
-// MaxIterations. A nil ctx is treated as context.Background().
+// MaxIterations. A nil ctx is treated as context.Background(). A panic
+// inside the analysis returns an *InternalError with Op "analyze"; this
+// is the boundary the serving layer crosses for every request.
 func (e *Engine) AnalyzeContext(ctx context.Context, opt Options) (*Result, error) {
-	res, _, err := e.analyzeContext(ctx, opt, false)
+	var res *Result
+	err := e.run(ctx, opt, func(a *analyzer) error {
+		res = a.ar.result(a.opt.Method)
+		return nil
+	})
 	return res, err
 }
 
 // AnalyzeWithTelemetry is Analyze plus a per-run telemetry snapshot
 // including per-flow wall times.
 func (e *Engine) AnalyzeWithTelemetry(opt Options) (*Result, Telemetry, error) {
-	return e.analyzeContext(context.Background(), opt, true)
-}
-
-func (e *Engine) analyzeContext(ctx context.Context, opt Options, wantTelemetry bool) (*Result, Telemetry, error) {
-	a, err := e.run(ctx, opt)
-	if err != nil {
-		return nil, Telemetry{}, err
-	}
-	res := &Result{
-		Method:      opt.Method,
-		Flows:       make([]FlowResult, e.sys.NumFlows()),
-		Schedulable: true,
-	}
-	for i := range res.Flows {
-		res.Flows[i] = FlowResult{R: a.R[i], Status: a.status[i]}
-		if a.status[i] != Schedulable {
-			res.Schedulable = false
-		}
-	}
-	tel := a.tel
-	if wantTelemetry {
+	var (
+		res *Result
+		tel Telemetry
+	)
+	err := e.run(context.Background(), opt, func(a *analyzer) error {
+		res, tel = a.ar.result(a.opt.Method), a.tel
 		tel.PerFlowNanos = append([]int64(nil), a.ar.flowNanos...)
-	}
-	e.release(a)
-	return res, tel, nil
+		return nil
+	})
+	return res, tel, err
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wormnoc/internal/noc"
-	"wormnoc/internal/traffic"
 )
 
 // InterferenceTerm explains the contribution of one direct interferer τj
@@ -66,60 +65,55 @@ type Breakdown struct {
 	Blocking noc.Cycles
 }
 
-// Explain runs the analysis and decomposes the bound of the given flow
-// into per-interferer terms evaluated at the fixed point. The identity
-// R = C + Σ terms holds exactly for Schedulable flows.
-func Explain(sys *traffic.System, sets *Sets, opt Options, flow int) (*Breakdown, error) {
-	return NewEngineWithSets(sys, sets).Explain(opt, flow)
-}
-
 // Explain runs the analysis over the engine's system and decomposes the
 // bound of the given flow into per-interferer terms evaluated at the
-// fixed point. It shares the run machinery (option normalisation,
+// fixed point. The identity R = C + Blocking + Σ terms holds exactly for
+// Schedulable flows. It shares the guarded run (option normalisation,
 // fixed-point iterator, memo arenas) with Analyze.
 func (e *Engine) Explain(opt Options, flow int) (*Breakdown, error) {
 	if flow < 0 || flow >= e.sys.NumFlows() {
 		return nil, fmt.Errorf("core: flow index %d out of range (%d flows)", flow, e.sys.NumFlows())
 	}
-	a, err := e.run(context.Background(), opt)
+	var b *Breakdown
+	err := e.run(context.Background(), opt, func(a *analyzer) error {
+		b = &Breakdown{
+			Method: opt.Method,
+			Flow:   flow,
+			Name:   e.sys.Flow(flow).Name,
+			C:      e.sys.C(flow),
+			R:      a.R[flow],
+			Status: a.status[flow],
+		}
+		if b.Status == DependencyFailed {
+			return nil
+		}
+		var blockPerEpisode noc.Cycles
+		if linkl := e.sys.Topology().Config().LinkLatency; linkl > 1 {
+			blockPerEpisode = noc.SatMul(linkl-1, noc.Cycles(a.sharedLowLinks(flow)))
+		}
+		episodes := noc.Cycles(1)
+		for _, j := range a.sets.Direct(flow) {
+			term, err := a.explainTerm(flow, j)
+			if err != nil {
+				return err
+			}
+			term.Hits = ceilDiv(noc.SatAdd(a.R[flow], term.Jitter), e.sys.Flow(j).Period)
+			term.Total = noc.SatMul(term.Hits, term.PerHit)
+			if blockPerEpisode > 0 {
+				replays, err := a.replayEpisodes(flow, j)
+				if err != nil {
+					return err
+				}
+				episodes = noc.SatAdd(episodes, noc.SatMul(term.Hits, noc.SatAdd(1, replays)))
+			}
+			b.Terms = append(b.Terms, term)
+		}
+		b.Blocking = noc.SatMul(blockPerEpisode, episodes)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer e.release(a)
-
-	b := &Breakdown{
-		Method: opt.Method,
-		Flow:   flow,
-		Name:   e.sys.Flow(flow).Name,
-		C:      e.sys.C(flow),
-		R:      a.R[flow],
-		Status: a.status[flow],
-	}
-	if b.Status == DependencyFailed {
-		return b, nil
-	}
-	var blockPerEpisode noc.Cycles
-	if linkl := e.sys.Topology().Config().LinkLatency; linkl > 1 {
-		blockPerEpisode = noc.SatMul(linkl-1, noc.Cycles(a.sharedLowLinks(flow)))
-	}
-	episodes := noc.Cycles(1)
-	for _, j := range a.sets.Direct(flow) {
-		term, err := a.m.explainTerm(a, flow, j)
-		if err != nil {
-			return nil, err
-		}
-		term.Hits = ceilDiv(noc.SatAdd(a.R[flow], term.Jitter), e.sys.Flow(j).Period)
-		term.Total = noc.SatMul(term.Hits, term.PerHit)
-		if blockPerEpisode > 0 {
-			replays, err := a.replayEpisodes(flow, j)
-			if err != nil {
-				return nil, err
-			}
-			episodes = noc.SatAdd(episodes, noc.SatMul(term.Hits, noc.SatAdd(1, replays)))
-		}
-		b.Terms = append(b.Terms, term)
-	}
-	b.Blocking = noc.SatMul(blockPerEpisode, episodes)
 	return b, nil
 }
 

@@ -17,7 +17,7 @@ func TestExplainDidactic(t *testing.T) {
 	sys := workload.Didactic(2)
 	sets := core.BuildSets(sys)
 
-	sb, err := core.Explain(sys, sets, core.Options{Method: core.SB}, 2)
+	sb, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.SB}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestExplainDidactic(t *testing.T) {
 		t.Errorf("SB jitter = %d, want 124", sb.Terms[0].Jitter)
 	}
 
-	xlwx, err := core.Explain(sys, sets, core.Options{Method: core.XLWX}, 2)
+	xlwx, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.XLWX}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExplainDidactic(t *testing.T) {
 		t.Errorf("XLWX breakdown: %+v", xlwx.Terms[0])
 	}
 
-	ibn, err := core.Explain(sys, sets, core.Options{Method: core.IBN}, 2)
+	ibn, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.IBN}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExplainIdentity(t *testing.T) {
 				if res.Flows[i].Status != core.Schedulable {
 					continue
 				}
-				b, err := core.Explain(sys, sets, core.Options{Method: m}, i)
+				b, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: m}, i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,10 +99,10 @@ func TestExplainIdentity(t *testing.T) {
 func TestExplainErrors(t *testing.T) {
 	sys := workload.Didactic(2)
 	sets := core.BuildSets(sys)
-	if _, err := core.Explain(sys, sets, core.Options{Method: core.IBN}, 9); err == nil {
+	if _, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.IBN}, 9); err == nil {
 		t.Error("out-of-range flow must fail")
 	}
-	if _, err := core.Explain(sys, sets, core.Options{Method: core.Method(9)}, 0); err == nil {
+	if _, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.Method(9)}, 0); err == nil {
 		t.Error("unknown method must fail")
 	}
 }
@@ -117,7 +117,7 @@ func TestExplainDependencyFailed(t *testing.T) {
 		{Name: "p3", Priority: 3, Period: 5000, Deadline: 5000, Length: 10, Src: 0, Dst: 3},
 	})
 	sets := core.BuildSets(sys)
-	b, err := core.Explain(sys, sets, core.Options{Method: core.XLWX}, 2)
+	b, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.XLWX}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

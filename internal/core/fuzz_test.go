@@ -83,7 +83,7 @@ func FuzzAnalyzeMagnitudes(f *testing.F) {
 		for _, m := range core.Methods() {
 			// A small iteration cap keeps each input fast; both
 			// properties hold at any cap.
-			res, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: m, MaxIterations: 1 << 12})
+			res, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: m, MaxIterations: 1 << 12})
 			if err != nil {
 				t.Fatalf("%s: %v", m, err)
 			}

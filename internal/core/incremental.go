@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"wormnoc/internal/noc"
@@ -40,7 +41,7 @@ import (
 // interference under that state's method (Delta.grows), the old least
 // fixed points are lower bounds on the new ones, so affected flows seed
 // their iteration from the previous converged bound (monotone restart;
-// see analyzeFlowFrom). Results are still bit-identical to a from-
+// see analyzeFlow). Results are still bit-identical to a from-
 // scratch run: a warm result is only accepted when it converged
 // Schedulable and the cold run provably reaches the same fixed point
 // within the iteration cap; every other outcome (deadline misses and
@@ -52,7 +53,15 @@ import (
 // Unlike Engine, an Incremental is a stateful single-writer object: it
 // must not be used from multiple goroutines concurrently. Fan-out
 // callers keep one Incremental per goroutine (or per search) and share
-// the immutable base Sets via Engine.Incremental.
+// the immutable base Sets of an Engine through
+// NewIncrementalWithSets(eng.System(), eng.Sets()).
+//
+// # Shared machinery
+//
+// A from-scratch pass is the Engine's own full pass over a fresh arena;
+// the two differ only in where the arena lives (an Engine's pool, or the
+// per-configuration state here) and in which flows a pass visits (all,
+// or the affected frontier).
 type Incremental struct {
 	sys    *traffic.System
 	sets   *Sets
@@ -103,7 +112,6 @@ func keyOf(opt Options) stateKey {
 // the invalidation accumulated against it since its last analysis.
 type incState struct {
 	opt Options
-	m   method
 	// ar holds the per-flow bounds, statuses and I^down memos of the
 	// last analysis; partial passes update it in place.
 	ar *arena
@@ -132,7 +140,7 @@ func (st *incState) reset() {
 }
 
 func (st *incState) clone() *incState {
-	c := &incState{opt: st.opt, m: st.m, res: st.res, warm: st.warm, flush: st.flush, full: st.full}
+	c := &incState{opt: st.opt, res: st.res, warm: st.warm, flush: st.flush, full: st.full}
 	c.affected = make(map[int]bool, len(st.affected))
 	for i := range st.affected {
 		c.affected[i] = true
@@ -163,13 +171,6 @@ func NewIncrementalWithSets(sys *traffic.System, sets *Sets) *Incremental {
 	return &Incremental{sys: sys, sets: sets, states: make(map[stateKey]*incState)}
 }
 
-// Incremental returns a delta-aware engine over the engine's system,
-// sharing its immutable interference sets (no BuildSets cost). The
-// Engine is unaffected by edits applied to the returned Incremental.
-func (e *Engine) Incremental() *Incremental {
-	return NewIncrementalWithSets(e.sys, e.sets)
-}
-
 // System returns the current (post-edit) system.
 func (inc *Incremental) System() *traffic.System { return inc.sys }
 
@@ -191,18 +192,33 @@ func (inc *Incremental) Reset(sys *traffic.System) {
 // Apply applies the edits in order. Each delta is atomic: an invalid
 // delta returns an error naming its position with the preceding deltas
 // applied and the failing one discarded, leaving the engine consistent.
+//
+// A panic while applying returns an *InternalError with Op
+// "incremental apply". It may have interrupted the per-configuration
+// invalidation mid-way, so every cached state is then marked for a
+// from-scratch pass — the engine stays usable, it just forfeits its
+// incremental advantage once.
 func (inc *Incremental) Apply(deltas ...Delta) error {
-	for i, d := range deltas {
-		if err := inc.applyOne(d); err != nil {
-			if len(deltas) > 1 {
-				return fmt.Errorf("core: delta %d: %w", i, err)
+	err := Guard("incremental apply", func() error {
+		for i, d := range deltas {
+			if err := inc.applyOne(d); err != nil {
+				if len(deltas) > 1 {
+					return fmt.Errorf("core: delta %d: %w", i, err)
+				}
+				return err
 			}
-			return err
+			inc.stats.Edits++
 		}
-		inc.stats.Edits++
+		inc.stats.Applies++
+		return nil
+	})
+	var ie *InternalError
+	if errors.As(err, &ie) {
+		for _, st := range inc.states {
+			st.full = true
+		}
 	}
-	inc.stats.Applies++
-	return nil
+	return err
 }
 
 func (inc *Incremental) applyOne(d Delta) error {
@@ -429,64 +445,58 @@ func reverseReach(seeds map[int]bool, n int, setsList ...*Sets) map[int]bool {
 // Analyze returns bounds for the current system under opt, re-analysing
 // only the flows invalidated since this configuration's previous call.
 // The returned Result is immutable and may be retained across further
-// edits. A cancellation or injected fault aborts with an error and
+// edits. A cancellation, injected fault or panic (returned as an
+// *InternalError with Op "incremental analyze") aborts with an error and
 // leaves the configuration marked for a from-scratch pass on its next
 // call, so a half-updated arena is never served.
 func (inc *Incremental) Analyze(ctx context.Context, opt Options) (*Result, error) {
-	m, opt, err := prepare(opt)
+	opt, err := prepare(opt)
 	if err != nil {
 		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	key := keyOf(opt)
 	st := inc.states[key]
 	if st == nil {
-		st = &incState{opt: opt, m: m, full: true}
+		st = &incState{opt: opt, full: true}
 		st.reset()
 		inc.states[key] = st
 	}
-	// Any abort — an error return or a panic unwinding through here —
-	// leaves the arena half-updated; force the next call onto the
-	// from-scratch path. The happy paths clear the flag on completion.
-	done := false
-	defer func() {
-		if !done {
-			st.full = true
+	err = Guard("incremental analyze", func() error {
+		switch {
+		case st.full:
+			st.ar = newArena(inc.sys.NumFlows(), inc.sets.numPairs())
+			if err := newAnalyzer(ctx, inc.sys, inc.sets, st.opt, st.ar).fullPass(); err != nil {
+				return err
+			}
+			st.full = false
+			inc.stats.FullRuns++
+		case len(st.affected) > 0:
+			if err := inc.runPartial(ctx, st); err != nil {
+				return err
+			}
+		default:
+			inc.stats.CachedRuns++
+			if st.res == nil {
+				st.res = st.ar.result(st.opt.Method)
+			}
+			return nil
 		}
-	}()
-	var res *Result
-	if st.full {
-		res, err = inc.runFull(ctx, st)
-	} else if len(st.affected) == 0 {
-		if st.res == nil {
-			inc.publish(st)
-		}
-		inc.stats.CachedRuns++
-		res = st.res
-	} else {
-		res, err = inc.runPartial(ctx, st)
+		st.reset()
+		st.res = st.ar.result(st.opt.Method)
+		return nil
+	})
+	if err != nil {
+		// The arena may be half-updated: force the next call onto the
+		// from-scratch path.
+		st.full = true
+		return nil, err
 	}
-	done = err == nil
-	return res, err
+	return st.res, nil
 }
 
-func (inc *Incremental) runFull(ctx context.Context, st *incState) (*Result, error) {
-	st.ar = newArena(inc.sys.NumFlows(), inc.sets.numPairs())
-	a := inc.analyzer(ctx, st)
-	for _, i := range inc.sys.ByPriority() {
-		if err := a.analyzeFlow(i); err != nil {
-			return nil, err // st.full stays set
-		}
-	}
-	st.full = false
-	st.reset()
-	inc.stats.FullRuns++
-	return inc.publish(st), nil
-}
-
-func (inc *Incremental) runPartial(ctx context.Context, st *incState) (*Result, error) {
+// runPartial re-analyses the affected frontier in priority order,
+// warm-starting where every pending edit grows interference.
+func (inc *Incremental) runPartial(ctx context.Context, st *incState) error {
 	pairs := inc.sets.numPairs()
 	switch {
 	case len(st.ar.xlwxSet) != pairs:
@@ -495,10 +505,7 @@ func (inc *Incremental) runPartial(ctx context.Context, st *incState) (*Result, 
 		st.ar.xlwxSet = make([]bool, pairs)
 		st.ar.ibnSet = make([]bool, pairs)
 	case st.flush:
-		for i := range st.ar.xlwxSet {
-			st.ar.xlwxSet[i] = false
-			st.ar.ibnSet[i] = false
-		}
+		st.ar.clearMemos()
 	default:
 		// Pair ranks are stable; only entries under affected flows can
 		// have changed inputs (a pair (j, i) reads flows in i's closure,
@@ -511,7 +518,7 @@ func (inc *Incremental) runPartial(ctx context.Context, st *incState) (*Result, 
 		}
 	}
 
-	a := inc.analyzer(ctx, st)
+	a := newAnalyzer(ctx, inc.sys, inc.sets, st.opt, st.ar)
 	maxIter := noc.Cycles(st.opt.MaxIterations)
 	for _, i := range inc.sys.ByPriority() {
 		if !st.affected[i] {
@@ -522,9 +529,8 @@ func (inc *Incremental) runPartial(ctx context.Context, st *incState) (*Result, 
 		if st.warm && a.analyzed[i] && a.status[i] == Schedulable {
 			seed = a.R[i]
 		}
-		if err := a.analyzeFlowFrom(i, seed); err != nil {
-			st.full = true
-			return nil, err
+		if err := a.analyzeFlow(i, seed); err != nil {
+			return err
 		}
 		if seed > 0 {
 			// Accept the warm fixed point only when a cold run provably
@@ -539,47 +545,15 @@ func (inc *Incremental) runPartial(ctx context.Context, st *incState) (*Result, 
 				inc.stats.WarmAccepted++
 			} else {
 				inc.stats.WarmFallbacks++
-				if err := a.analyzeFlowFrom(i, 0); err != nil {
-					st.full = true
-					return nil, err
+				if err := a.analyzeFlow(i, 0); err != nil {
+					return err
 				}
 			}
 		}
 		inc.stats.FlowsReanalyzed++
 	}
-	st.reset()
 	inc.stats.PartialRuns++
-	return inc.publish(st), nil
-}
-
-func (inc *Incremental) analyzer(ctx context.Context, st *incState) *analyzer {
-	return &analyzer{
-		sys:      inc.sys,
-		sets:     inc.sets,
-		opt:      st.opt,
-		m:        st.m,
-		ar:       st.ar,
-		ctx:      ctx,
-		R:        st.ar.R,
-		status:   st.ar.status,
-		analyzed: st.ar.analyzed,
-	}
-}
-
-func (inc *Incremental) publish(st *incState) *Result {
-	res := &Result{
-		Method:      st.opt.Method,
-		Flows:       make([]FlowResult, len(st.ar.R)),
-		Schedulable: true,
-	}
-	for i := range res.Flows {
-		res.Flows[i] = FlowResult{R: st.ar.R[i], Status: st.ar.status[i]}
-		if st.ar.status[i] != Schedulable {
-			res.Schedulable = false
-		}
-	}
-	st.res = res
-	return res
+	return nil
 }
 
 // IncSnapshot is an immutable checkpoint of an Incremental: the system,

@@ -39,7 +39,7 @@ func randomSystem(t testing.TB, seed int64, maxFlows int) *traffic.System {
 
 func analyze(t testing.TB, sys *traffic.System, sets *core.Sets, opt core.Options) *core.Result {
 	t.Helper()
-	res, err := core.AnalyzeWithSets(sys, sets, opt)
+	res, err := core.NewEngineWithSets(sys, sets).Analyze(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

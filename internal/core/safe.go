@@ -1,21 +1,19 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
-
-	"wormnoc/internal/traffic"
 )
 
 // InternalError is a library invariant violation (a panic inside
 // internal/noc, internal/traffic or this package) converted into a
-// typed error at a Guard/AnalyzeSafe boundary. Long-lived callers — the
-// serving layer above all — use these boundaries so an adversarial or
-// malformed system that trips an internal panic (e.g. the memo-key
-// check in sets.go) degrades into an error response instead of killing
-// the process.
+// typed error at a Guard boundary. Every analysis entry point
+// (Engine.AnalyzeContext and the methods built on it, Incremental.Apply
+// and Incremental.Analyze) runs behind one, and long-lived callers — the
+// serving layer above all — wrap engine construction in Guard too, so an
+// adversarial or malformed system that trips an internal panic (e.g. the
+// memo-key check in sets.go) degrades into an error response instead of
+// killing the process.
 type InternalError struct {
 	// Op names the guarded operation, e.g. "analyze" or "engine build".
 	Op string
@@ -45,69 +43,4 @@ func Guard(op string, fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// NewEngineSafe is NewEngine behind a Guard: a panic while building the
-// interference sets (malformed routes, inconsistent priorities that
-// slipped past validation) returns an *InternalError instead of
-// propagating.
-func NewEngineSafe(sys *traffic.System) (e *Engine, err error) {
-	err = Guard("engine build", func() error {
-		e = NewEngine(sys)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// AnalyzeSafe is AnalyzeContext behind a Guard: any panic raised inside
-// the analysis (invariant violations in the interference sets, the
-// solver, or a registered method) is returned as an *InternalError so
-// callers never see a raw panic. This is the boundary the serving layer
-// crosses for every request.
-func (e *Engine) AnalyzeSafe(ctx context.Context, opt Options) (res *Result, err error) {
-	err = Guard("analyze", func() error {
-		var aerr error
-		res, aerr = e.AnalyzeContext(ctx, opt)
-		return aerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ApplySafe is Incremental.Apply behind a Guard. A recovered panic may
-// have interrupted the per-configuration invalidation mid-way, so every
-// cached state is additionally marked for a from-scratch pass — the
-// engine stays usable, it just forfeits its incremental advantage once.
-func (inc *Incremental) ApplySafe(deltas ...Delta) error {
-	err := Guard("incremental apply", func() error { return inc.Apply(deltas...) })
-	if err != nil {
-		var ie *InternalError
-		if errors.As(err, &ie) {
-			for _, st := range inc.states {
-				st.full = true
-			}
-		}
-	}
-	return err
-}
-
-// AnalyzeSafe is Incremental.Analyze behind a Guard. Analyze itself
-// already marks the configuration for a from-scratch pass on any abort
-// (error or panic), so a fault never leaves a half-updated arena being
-// served.
-func (inc *Incremental) AnalyzeSafe(ctx context.Context, opt Options) (res *Result, err error) {
-	err = Guard("incremental analyze", func() error {
-		var aerr error
-		res, aerr = inc.Analyze(ctx, opt)
-		return aerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -44,11 +44,11 @@ func TestBoundsSafeAgainstSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sets := core.BuildSets(sys)
-		ibn, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.IBN})
+		ibn, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.IBN})
 		if err != nil {
 			t.Fatal(err)
 		}
-		xlwx, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.XLWX})
+		xlwx, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.XLWX})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSimulatedMPBGeometry(t *testing.T) {
 		{Name: "i", Priority: 4, Period: 12000, Deadline: 12000, Length: 100, Src: 1, Dst: 4},
 	})
 	sets := core.BuildSets(sys)
-	ibn, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.IBN})
+	ibn, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.IBN})
 	if err != nil {
 		t.Fatal(err)
 	}

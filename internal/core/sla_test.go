@@ -124,7 +124,7 @@ func TestSLAUnsafeUnderMPB(t *testing.T) {
 func TestSLAExplain(t *testing.T) {
 	sys := workload.Didactic(10)
 	sets := core.BuildSets(sys)
-	b, err := core.Explain(sys, sets, core.Options{Method: core.SLA}, 2)
+	b, err := core.NewEngineWithSets(sys, sets).Explain(core.Options{Method: core.SLA}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

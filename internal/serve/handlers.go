@@ -144,7 +144,7 @@ type BatchResponse struct {
 	Failed int `json:"failed"`
 }
 
-// MethodInfo describes one registered analysis at GET /v1/methods.
+// MethodInfo describes one analysis at GET /v1/methods.
 type MethodInfo struct {
 	Name string `json:"name"`
 	// Safe reports whether the analysis is a sound upper bound under
@@ -154,8 +154,8 @@ type MethodInfo struct {
 	Description string `json:"description"`
 }
 
-// methodCatalog carries the human-facing metadata of the analyses the
-// core registry cannot know.
+// methodCatalog carries the human-facing metadata of the analyses that
+// core.Methods does not.
 var methodCatalog = map[core.Method]MethodInfo{
 	core.SB:   {Safe: false, Description: "Shi & Burns 2008; historic baseline, optimistic (unsafe) under multi-point progressive blocking"},
 	core.SLA:  {Safe: false, Description: "simplified stage-level analysis; buffer-aware refinement of SB, still unsafe under MPB"},
@@ -259,7 +259,7 @@ func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.
 		return nil, status, err
 	}
 	t0 := time.Now()
-	res, err := eng.AnalyzeSafe(ctx, opt)
+	res, err := eng.AnalyzeContext(ctx, opt)
 	if err != nil {
 		_, status = classifyError(err)
 		return nil, status, err

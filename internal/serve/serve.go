@@ -315,7 +315,7 @@ func (s *Server) admit() (release func()) {
 
 // engine returns the warm engine for the document's system, building
 // (and caching) system + interference sets on first sight. Construction
-// runs behind core.NewEngineSafe, so a panic while building the
+// runs behind core.Guard, so a panic while building the
 // interference sets of an adversarial system surfaces as a typed
 // *core.InternalError and never leaves a nil engine in the pool.
 func (s *Server) engine(ctx context.Context, doc traffic.Document) (*core.Engine, error) {
@@ -337,8 +337,11 @@ func (s *Server) engine(ctx context.Context, doc traffic.Document) (*core.Engine
 	if err != nil {
 		return nil, err
 	}
-	e, err := core.NewEngineSafe(sys)
-	if err != nil {
+	var e *core.Engine
+	if err := core.Guard("engine build", func() error {
+		e = core.NewEngine(sys)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	s.engines.Put(key, e)

@@ -228,7 +228,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 		eng = e
 	}
-	inc := eng.Incremental()
+	inc := core.NewIncrementalWithSets(eng.System(), eng.Sets())
 
 	resp := &WhatIfResponse{BaseKey: canon.Key(doc, opt), Steps: make([]WhatIfStep, 0, len(req.Deltas))}
 	prevKey := resp.BaseKey
@@ -236,7 +236,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		step := WhatIfStep{Delta: spec}
 		d, err := spec.toCore()
 		if err == nil {
-			err = inc.ApplySafe(d)
+			err = inc.Apply(d)
 		}
 		if err != nil {
 			// The delta itself is bad (or applying it faulted): the chain
@@ -275,7 +275,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		var res *core.Result
 		for attempt := 0; ; attempt++ {
-			res, err = inc.AnalyzeSafe(ctx, opt)
+			res, err = inc.Analyze(ctx, opt)
 			if err == nil || attempt >= s.cfg.ItemRetries || !isTransient(err) || ctx.Err() != nil {
 				break
 			}

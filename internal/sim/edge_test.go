@@ -1,6 +1,9 @@
 package sim_test
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wormnoc/internal/core"
@@ -137,5 +140,58 @@ func TestChainScenarioSimulation(t *testing.T) {
 	}
 	if res.Worst <= sys.C(3) {
 		t.Errorf("no interference observed: %d <= C %d", res.Worst, sys.C(3))
+	}
+}
+
+// TestRunRejectsReleaseHorizonOverflow: release instants advance by
+// T_i from below Duration, so a horizon with Duration + T_i + J_i + C_i
+// past int64 would wrap a release negative. Both engines must reject it
+// by name instead of reporting a wrapped latency or looping on the
+// wrapped release.
+func TestRunRejectsReleaseHorizonOverflow(t *testing.T) {
+	topo := noc.MustMesh(2, 1, noc.RouterConfig{BufDepth: 2, LinkLatency: 1, RouteLatency: 0})
+	long := traffic.MustSystem(topo, []traffic.Flow{
+		{Name: "long", Priority: 1, Period: 1 << 62, Deadline: 1 << 62, Length: 4, Src: 0, Dst: 1},
+	})
+	late := traffic.MustSystem(topo, []traffic.Flow{
+		{Name: "late", Priority: 1, Period: 100, Deadline: 100, Length: 4, Src: 0, Dst: 1},
+	})
+	cases := []struct {
+		name string
+		sys  *traffic.System
+		cfg  sim.Config
+	}{
+		{"capped", long, sim.Config{Duration: math.MaxInt64, MaxPacketsPerFlow: 10}},
+		{"offset", late, sim.Config{Duration: math.MaxInt64, Offsets: []noc.Cycles{math.MaxInt64 - 5}}},
+	}
+	engines := map[string]func(*traffic.System, sim.Config) (*sim.Result, error){
+		"engine": sim.Run, "reference": sim.RunReference,
+	}
+	for _, c := range cases {
+		for ename, run := range engines {
+			res, err := run(c.sys, c.cfg)
+			if err == nil {
+				t.Errorf("%s/%s: accepted, worst latency %d", c.name, ename, res.WorstLatency[0])
+				continue
+			}
+			if name := c.sys.Flow(0).Name; !strings.Contains(err.Error(), strconv.Quote(name)) {
+				t.Errorf("%s/%s: error %q does not name flow %q", c.name, ename, err, name)
+			}
+		}
+	}
+
+	// Just inside the limit, the single release in the horizon completes
+	// at its zero-load latency.
+	if c := long.C(0); c != 6 {
+		t.Fatalf("C = %d, want 6", c)
+	}
+	for ename, run := range engines {
+		res, err := run(long, sim.Config{Duration: math.MaxInt64 - (1 << 62) - 7, MaxPacketsPerFlow: 10})
+		if err != nil {
+			t.Fatalf("%s: %v", ename, err)
+		}
+		if res.Completed[0] != 1 || res.WorstLatency[0] != 6 {
+			t.Errorf("%s: %d packets, worst latency %d; want 1 packet at 6", ename, res.Completed[0], res.WorstLatency[0])
+		}
 	}
 }

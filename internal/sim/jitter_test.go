@@ -91,7 +91,7 @@ func TestJitterDeterministicInSeed(t *testing.T) {
 func TestJitteredBoundsStillSafe(t *testing.T) {
 	sys := jitterSystem(t)
 	sets := core.BuildSets(sys)
-	ibn, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: core.IBN})
+	ibn, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.IBN})
 	if err != nil {
 		t.Fatal(err)
 	}

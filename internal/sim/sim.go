@@ -162,13 +162,21 @@ func validateConfig(sys *traffic.System, cfg Config) error {
 			return fmt.Errorf("sim: flow %d has negative offset %d", i, off)
 		}
 	}
-	// Engine flits number themselves with an int32: a longer packet
-	// would wrap a body flit to seq 0, which pays routl as a header.
 	flows := sys.Flows()
 	for i := range flows {
-		if flows[i].Length > math.MaxInt32 {
+		f := &flows[i]
+		// Engine flits number themselves with an int32: a longer packet
+		// would wrap a body flit to seq 0, which pays routl as a header.
+		if f.Length > math.MaxInt32 {
 			return fmt.Errorf("sim: flow %d (%q) has %d-flit packets, more than the simulator's limit of %d",
-				i, flows[i].Name, flows[i].Length, math.MaxInt32)
+				i, f.Name, f.Length, math.MaxInt32)
+		}
+		// Releases advance by T_i from instants below Duration, are
+		// delayed by up to J_i and take C_i to deliver: past int64 the
+		// release instant wraps negative.
+		if noc.SatAdd(cfg.Duration, noc.SatAdd(noc.SatAdd(f.Period, f.Jitter), sys.C(i))) == noc.MaxCycles {
+			return fmt.Errorf("sim: flow %d (%q): Duration %d + T %d + J %d + C %d overflows int64 cycles",
+				i, f.Name, cfg.Duration, f.Period, f.Jitter, sys.C(i))
 		}
 	}
 	return nil

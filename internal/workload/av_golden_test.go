@@ -56,7 +56,7 @@ func TestAVGoldenMapping(t *testing.T) {
 	sets := core.BuildSets(sys)
 	verdicts := map[core.Method]bool{}
 	for _, m := range []core.Method{core.SB, core.XLWX, core.IBN} {
-		res, err := core.AnalyzeWithSets(sys, sets, core.Options{Method: m})
+		res, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}

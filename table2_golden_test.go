@@ -49,7 +49,7 @@ func TestTableIIGoldenAnalysis(t *testing.T) {
 	for _, row := range g.Buffers {
 		sys := workload.Didactic(row.Buf)
 		if len(row.Analysis) != len(core.Methods()) {
-			t.Errorf("buf=%d: golden file pins %d methods, registry has %d — re-pin the file",
+			t.Errorf("buf=%d: golden file pins %d methods, core.Methods has %d — re-pin the file",
 				row.Buf, len(row.Analysis), len(core.Methods()))
 		}
 		for _, m := range core.Methods() {

@@ -160,7 +160,7 @@ func Analyze(sys *System, opt AnalysisOptions) (*AnalysisResult, error) {
 
 // AnalyzeWithSets is Analyze with pre-built interference sets.
 func AnalyzeWithSets(sys *System, sets *InterferenceSets, opt AnalysisOptions) (*AnalysisResult, error) {
-	return core.AnalyzeWithSets(sys, sets, opt)
+	return core.NewEngineWithSets(sys, sets).Analyze(opt)
 }
 
 // Engine runs analyses of one system repeatedly and cheaply: the
@@ -194,7 +194,7 @@ type Breakdown = core.Breakdown
 // Explain runs the analysis and decomposes the bound of the given flow
 // into per-interferer interference terms (R = C + Σ terms).
 func Explain(sys *System, sets *InterferenceSets, opt AnalysisOptions, flow int) (*Breakdown, error) {
-	return core.Explain(sys, sets, opt, flow)
+	return core.NewEngineWithSets(sys, sets).Explain(opt, flow)
 }
 
 // AssignRateMonotonic assigns unique priorities by non-decreasing period
