@@ -23,7 +23,10 @@
 #                                 4-flow reference config; the pair
 #                                 speedup is the wall-clock win and the
 #                                 states/op metrics carry the state-
-#                                 count reduction behind it.
+#                                 count reduction behind it. A second
+#                                 pair runs the config's cluster
+#                                 representatives to the horizon vs to
+#                                 their first idle instant.
 #
 # For every target, when a committed baseline already exists, the
 # regenerated pair speedups are gated against it: a drop of more than

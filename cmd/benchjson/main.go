@@ -18,8 +18,11 @@
 // target-scoped probes over full-horizon ones, and any
 // BenchmarkExhaustiveRaw/<scenario> pairs with
 // BenchmarkExhaustiveReduced/<scenario> for the explicit-state
-// backend's symmetry/cluster reductions over the raw grid — the
-// numbers those rewrites are held to.
+// backend's symmetry/cluster reductions over the raw grid, and any
+// BenchmarkExhaustiveFullHorizon/<scenario> pairs with
+// BenchmarkExhaustiveBusyPeriod/<scenario> for the proof pass's
+// busy-period runs over full-horizon ones — the numbers those rewrites
+// are held to.
 //
 // With -baseline, the freshly parsed document is additionally gated
 // against a previously committed BENCH_*.json: any tracked pair whose
@@ -301,6 +304,9 @@ var pairPrefixes = []struct{ before, after string }{
 	// Makefile `bench-exhaustive`). The states/op metric on each record
 	// carries the state-count reduction behind the wall-clock speedup.
 	{"BenchmarkExhaustiveRaw/", "BenchmarkExhaustiveReduced/"},
+	// The proof pass's cluster representatives run to the horizon vs to
+	// their first idle instant (sim.Engine.RunBusyPeriod).
+	{"BenchmarkExhaustiveFullHorizon/", "BenchmarkExhaustiveBusyPeriod/"},
 }
 
 // derivePairs matches each pairPrefixes family's before/after runs by

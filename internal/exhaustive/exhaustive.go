@@ -55,6 +55,20 @@
 // grid, and ReduceNone retains the raw enumeration bit-for-bit as the
 // differential baseline.
 //
+// # Busy-period cut
+//
+// A stride-1 pass simulates each phasing only to its first idle
+// instant, the first cycle after the first release at which every
+// released packet has been delivered (sim.Engine.RunBusyPeriod). The
+// engine is deterministic and tie-free, so from an idle instant t the
+// rest of the run depends only on the vector of next releases minus
+// t, a grid point whose shift representative is explored too, with a
+// horizon at least as long. Every busy period of every full-horizon
+// run is therefore the first busy period of an explored
+// representative, and per-flow worst cases and Proven verdicts are
+// those of full-horizon runs (DESIGN.md §15). Strided sampling and
+// refinement skip representatives, so they keep full-horizon runs.
+//
 // # Budgets and truncation
 //
 // Exploration is bounded twice: MaxStates caps the number of phasings
@@ -98,8 +112,9 @@ const (
 	// four nodes). Larger platforms are the randomised oracle's job.
 	MaxNodes = 4
 	// DefaultMaxStates is the state budget used when Config.MaxStates is
-	// zero: about a million phasings, a few seconds of single-core work
-	// on typical tiny configurations.
+	// zero: about a million phasings. A proof pays one busy period per
+	// phasing, not a whole horizon, so on typical tiny configurations
+	// that is a few seconds of single-core work at most.
 	DefaultMaxStates = 1 << 20
 	// DefaultDedupCap bounds the visited set of the refinement pass (see
 	// Config.DedupCap).
@@ -267,7 +282,8 @@ func lcm(a, b noc.Cycles) noc.Cycles {
 // fully-reduced state space at stride 1 (a proof, when it fits
 // DefaultMaxStates) with the auto horizon and all CPUs.
 type Config struct {
-	// Duration is the simulation horizon per phasing; 0 selects
+	// Duration is the simulation horizon per phasing (a stride-1 run
+	// ends earlier when its first busy period does); 0 selects
 	// Space.SuggestedDuration. Shorter horizons weaken the certified
 	// class ("worst within Duration"), never the chain invariants — the
 	// comparison search must simply run the same horizon.
@@ -311,17 +327,24 @@ type FlowResult struct {
 	// Worst is the maximum observed latency over every explored phasing,
 	// or -1 when no packet of the flow ever completed.
 	Worst noc.Cycles
-	// Offsets is the first (lowest enumeration index) phasing achieving
-	// Worst. It is always an ordinary point of the raw grid — canonical
-	// representatives are grid members and cluster witnesses embed with
-	// zero offsets for the other clusters — so it replays directly
-	// through sim.Run on the full system.
+	// Offsets is the first (lowest enumeration index) phasing whose
+	// explored run reaches Worst: on a stride-1 pass, the first whose
+	// first busy period does. It is always an ordinary point of the raw
+	// grid — canonical representatives are grid members and cluster
+	// witnesses embed with zero offsets for the other clusters — so it
+	// replays directly through sim.Run on the full system, to Worst at
+	// the explored Duration.
 	Offsets []noc.Cycles
 	// Censored counts explored phasings in which a packet of this flow
 	// released at least a deadline before the horizon failed to complete
 	// — direct evidence of a latency beyond the deadline that the
-	// horizon cut off. Non-zero censoring voids the proof claim for this
-	// flow and every lower-priority one (see Result.Proven).
+	// horizon cut off. On a stride-1 pass only a run whose first busy
+	// period reaches the horizon can censor: a packet a full-horizon run
+	// censors may instead complete late in the representative whose
+	// first busy period holds it, and count as a deadline miss. The flag
+	// Censored > 0 || DeadlineMisses > 0 is the same either way. It
+	// voids the proof claim for this flow and every lower-priority one
+	// (see Result.Proven).
 	Censored int64
 	// DeadlineMisses totals observed deadline misses across explored
 	// phasings (completed packets whose latency exceeded the deadline).
@@ -361,7 +384,8 @@ type Result struct {
 	Space Space
 	// Reductions reports the reduction mode and its savings.
 	Reductions Reductions
-	// Duration is the horizon every phasing was simulated for.
+	// Duration is the horizon every phasing was simulated for; on a
+	// stride-1 pass a run ends earlier when its first busy period does.
 	Duration noc.Cycles
 	// Stride is the effective sampling stride of the systematic pass
 	// (1 = full enumeration of the reduced space).
@@ -628,17 +652,31 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 			}
 			off := offsets[w][gi]
 			g.e.decode(idx-g.base, off)
-			sr, err := eng.Run(sim.Config{Duration: res.Duration, Offsets: off})
+			// A stride-1 pass enumerates every representative, so each
+			// run can stop at its first idle instant: every later busy
+			// period is the first busy period of another representative
+			// (DESIGN.md §15). Strided sampling cannot rely on that.
+			scfg := sim.Config{Duration: res.Duration, Offsets: off}
+			var sr *sim.Result
+			var err error
+			if stride == 1 {
+				sr, err = eng.RunBusyPeriod(scfg)
+			} else {
+				sr, err = eng.Run(scfg)
+			}
 			if err != nil {
 				return err
 			}
 			cr.states++
+			// A run that drained before the horizon completed every
+			// packet of its busy period: nothing in it is censored.
+			drained := stride == 1 && sr.Stats.StoppedAt < res.Duration
 			for fk, i := range g.flows {
 				if sr.WorstLatency[fk] > cr.worst[i] {
 					cr.worst[i] = sr.WorstLatency[fk]
 					cr.worstAt[i] = idx
 				}
-				if int64(sr.Completed[fk]) < expectedAt(int64(off[fk]), g.periods[fk], int64(res.Duration), g.deadlines[fk]) {
+				if !drained && int64(sr.Completed[fk]) < expectedAt(int64(off[fk]), g.periods[fk], int64(res.Duration), g.deadlines[fk]) {
 					cr.censored[i]++
 				}
 				cr.misses[i] += int64(sr.DeadlineMisses[fk])

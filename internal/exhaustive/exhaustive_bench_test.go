@@ -1,10 +1,12 @@
 package exhaustive_test
 
 import (
+	"slices"
 	"testing"
 
 	"wormnoc/internal/exhaustive"
 	"wormnoc/internal/noc"
+	"wormnoc/internal/sim"
 	"wormnoc/internal/traffic"
 )
 
@@ -60,3 +62,87 @@ func BenchmarkExhaustiveRaw(b *testing.B) { benchExplore(b, exhaustive.ReduceNon
 // claimed reduction; TestReductionEquivalence is the *Agree test of
 // this pair.
 func BenchmarkExhaustiveReduced(b *testing.B) { benchExplore(b, exhaustive.ReduceAll) }
+
+// clusterRun is one simulation of a proof's stride-1 pass: a cluster's
+// restricted system and one of its shift representatives.
+type clusterRun struct {
+	eng     *sim.Engine
+	offsets []noc.Cycles
+}
+
+// representatives lists the simulations a reduced proof of sys runs:
+// for every contention cluster, each offset vector of its raw sub-grid
+// whose smallest offset is 0, on one engine per cluster.
+func representatives(b *testing.B, sys *traffic.System) ([]clusterRun, noc.Cycles) {
+	sp, err := exhaustive.Plan(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var runs []clusterRun
+	for _, c := range sp.Clusters {
+		sub, err := sim.Restrict(sys, c.Flows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := sim.NewEngine(sub)
+		off := make([]noc.Cycles, len(c.Flows))
+		for {
+			if slices.Min(off) == 0 {
+				runs = append(runs, clusterRun{eng, slices.Clone(off)})
+			}
+			k := len(off) - 1
+			for ; k >= 0; k-- {
+				if off[k]++; off[k] < sys.Flow(c.Flows[k]).Period {
+					break
+				}
+				off[k] = 0
+			}
+			if k < 0 {
+				break
+			}
+		}
+	}
+	if int64(len(runs)) != sp.ReducedGridSize {
+		b.Fatalf("enumerated %d representatives, plan says %d", len(runs), sp.ReducedGridSize)
+	}
+	return runs, sp.SuggestedDuration
+}
+
+func benchRepresentatives(b *testing.B, busyPeriod bool) {
+	runs, duration := representatives(b, benchReferenceSystem(b))
+	b.Run("ref4", func(b *testing.B) {
+		var cycles noc.Cycles
+		for i := 0; i < b.N; i++ {
+			cycles = 0
+			for _, r := range runs {
+				cfg := sim.Config{Duration: duration, Offsets: r.offsets}
+				if !busyPeriod {
+					if _, err := r.eng.Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+					cycles += duration
+					continue
+				}
+				res, err := r.eng.RunBusyPeriod(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += res.Stats.StoppedAt
+			}
+		}
+		b.ReportMetric(float64(len(runs)), "states/op")
+		b.ReportMetric(float64(cycles), "cycles/op")
+	})
+}
+
+// BenchmarkExhaustiveFullHorizon is the before side of the busy-period
+// pair: every cluster representative of the reference configuration
+// simulated by Engine.Run for the whole proof horizon, as the stride-1
+// pass did before the cut.
+func BenchmarkExhaustiveFullHorizon(b *testing.B) { benchRepresentatives(b, false) }
+
+// BenchmarkExhaustiveBusyPeriod is the after side: the same
+// representatives, each run by RunBusyPeriod to its first idle instant.
+// cycles/op on each side shows how much of the horizon the cut skips;
+// TestBusyPeriodCutMatchesFullHorizon is the *Agree test of this pair.
+func BenchmarkExhaustiveBusyPeriod(b *testing.B) { benchRepresentatives(b, true) }

@@ -8,6 +8,7 @@ import (
 	"wormnoc/internal/core"
 	"wormnoc/internal/exhaustive"
 	"wormnoc/internal/noc"
+	"wormnoc/internal/sim"
 	"wormnoc/internal/traffic"
 )
 
@@ -271,5 +272,94 @@ func TestCampaignCountsExhausted(t *testing.T) {
 	}
 	if stats.Violations != 0 {
 		t.Fatalf("healthy campaign reported %d violations", stats.Violations)
+	}
+}
+
+// The exhaustive backend cuts each phasing's run at its first idle
+// instant, so a packet the full horizon censors can instead complete
+// late in the representative whose first busy period holds it. The
+// pinned prove-regime system below is such a case: flow 0 (T = D = 17)
+// is censored at some raw grid point at full horizon, yet the cut
+// exploration reports no censoring for it, only deadline misses. Were
+// the flow declared schedulable, the censor-free invariant would stay
+// silent, but the late completion makes Worst > D ≥ R, so
+// exhaustive<=IBN and exhaustive<=XLWX still fire.
+func TestExhaustiveCensorShiftStillViolates(t *testing.T) {
+	const flow = 0
+	sc := Generate(DeriveSeed(0xB057, 350), GenConfig{
+		MaxDim: 2, MaxFlows: 3, MaxBuf: 4, MaxLinkLatency: 1, MaxRouteLatency: -1,
+		PeriodMin: 6, PeriodMax: 18, LenMin: 2, LenMax: 6, JitterProb: -1,
+	})
+	sys, err := sc.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sys.Flow(flow).Deadline
+	sp, err := exhaustive.Plan(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Full horizon: some raw grid point leaves a packet released a
+	// deadline before the horizon unfinished.
+	eng := sim.NewEngine(sys)
+	censored := false
+	off := make([]noc.Cycles, sys.NumFlows())
+	for a := noc.Cycles(0); a < sys.Flow(0).Period && !censored; a++ {
+		for b := noc.Cycles(0); b < sys.Flow(1).Period && !censored; b++ {
+			off[0], off[1] = a, b
+			sr, err := eng.Run(sim.Config{Duration: sp.SuggestedDuration, Offsets: off})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owed := int((sp.SuggestedDuration-1-d-a)/sys.Flow(flow).Period) + 1
+			censored = sr.Completed[flow] < owed
+		}
+	}
+	if sys.NumFlows() != 2 || !censored {
+		t.Fatalf("pinned system drifted: %d flows, flow %d censored at full horizon: %v", sys.NumFlows(), flow, censored)
+	}
+
+	cfg := CheckConfig{Seed: sc.Seed, ExhaustiveStates: 1 << 12, ExhaustiveReduce: exhaustive.ReduceNone}
+	cfg.setDefaults()
+	ex, err := exhaustive.Explore(sys, exhaustive.Config{Reduce: cfg.ExhaustiveReduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr := ex.Flows[flow]; !ex.Complete || fr.Censored != 0 || fr.DeadlineMisses == 0 || fr.Worst <= d {
+		t.Fatalf("cut exploration of flow %d: complete %v, censored %d, misses %d, worst %d (D %d); want a censor-free late completion",
+			flow, ex.Complete, fr.Censored, fr.DeadlineMisses, fr.Worst, d)
+	}
+
+	// Declare the flow schedulable at the loosest bound that allows it.
+	results := make(map[core.Method]*core.Result)
+	for _, m := range []core.Method{core.IBN, core.XLWX} {
+		res, err := core.Analyze(sys, core.Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Flows[flow] = core.FlowResult{R: d, Status: core.Schedulable}
+		results[m] = res
+	}
+	vs, rep, _, _, err := checkExhaustive(sys, results, cfg, func(_ core.Method, _ int, r noc.Cycles) noc.Cycles { return r })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || !rep.Complete {
+		t.Fatalf("exhaustive backend did not complete: %+v", rep)
+	}
+	fired := map[string]bool{}
+	for _, v := range vs {
+		if v.Class == ExhaustiveDivergent && v.Flow == flow {
+			if v.Invariant != "exhaustive-censor-free" && v.Observed <= v.Bound {
+				t.Errorf("%s does not witness the breach: observed %d <= bound %d", v.Invariant, v.Observed, v.Bound)
+			}
+			fired[v.Invariant] = true
+		}
+	}
+	if !fired["exhaustive<=IBN"] || !fired["exhaustive<=XLWX"] {
+		t.Fatalf("late completion past the declared bound went unreported; violations: %v", vs)
+	}
+	if fired["exhaustive-censor-free"] {
+		t.Fatalf("censor-free invariant fired on a flow the cut reports uncensored; violations: %v", vs)
 	}
 }

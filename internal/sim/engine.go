@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -279,8 +280,9 @@ type Engine struct {
 	flitsLive int // flits inside FIFOs or in transit
 
 	// stop is set once a target-scoped run's target can no longer
-	// complete a packet inside the horizon (see targetDone); the main
-	// loop then exits at the top of the next cycle.
+	// complete a packet inside the horizon (see targetDone), or once a
+	// busy-period run's network drains; the main loop then exits at the
+	// top of the next cycle.
 	stop bool
 }
 
@@ -367,6 +369,26 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	return e.res, nil
 }
 
+// RunBusyPeriod simulates the system's first busy period: it runs like
+// Run but ends at the top of the cycle after the network first drains,
+// that is, the first cycle after the first release at which every
+// released packet has been delivered. Result.Stats.StoppedAt is that
+// cycle, or cfg.Duration when the network never drained inside the
+// horizon. The Result equals a full run's at Duration StoppedAt.
+//
+// From a drained instant on, a jitter-free run depends only on each
+// flow's next release relative to that instant, so a later busy
+// period is the first busy period of another phasing; the exhaustive
+// explorer relies on this (DESIGN.md §15). Pending jittered releases
+// would be hidden state, so InjectJitter is rejected.
+func (e *Engine) RunBusyPeriod(cfg Config) (*Result, error) {
+	if cfg.InjectJitter {
+		return nil, fmt.Errorf("sim: a busy-period run cannot inject jitter")
+	}
+	cfg.busyPeriod = true
+	return e.Run(cfg)
+}
+
 // reset rewinds every piece of mutable state to cycle 0 while keeping
 // backing arrays, so a warm engine allocates nothing.
 func (e *Engine) reset(cfg Config) {
@@ -449,7 +471,8 @@ func (e *Engine) targetDone(f int) bool {
 // (earliest arrival, release, or link wakeup) — by construction no
 // state can change in between, so the skip is unobservable. A
 // target-scoped run ends at the top of the cycle after its target is
-// done.
+// done, a busy-period run at the top of the cycle after the network
+// drains.
 func (e *Engine) run() {
 	for i := 0; i < e.n; i++ {
 		e.relPush(e.nextRelease[i], int32(i))
@@ -568,7 +591,7 @@ func (e *Engine) run() {
 		}
 		e.prevTransfers, e.transfers = e.transfers, e.prevTransfers
 	}
-	if e.cfg.stopFlow > 0 {
+	if e.cfg.stopFlow > 0 || e.cfg.busyPeriod {
 		e.res.Stats.StoppedAt = t
 	}
 	e.res.InFlight = e.inFlight
@@ -768,7 +791,11 @@ func (e *Engine) completePacket(flow int, p int32, at noc.Cycles) {
 		e.res.Latencies[flow] = append(e.res.Latencies[flow], lat)
 	}
 	e.freePkts = append(e.freePkts, p)
-	if flow == e.cfg.stopFlow-1 && e.targetDone(flow) {
+	// A completion inside a fast-path batch never empties the network:
+	// the ejecting winner still holds flits of an undelivered packet. So
+	// a busy-period run's stop never falls inside a batch.
+	if flow == e.cfg.stopFlow-1 && e.targetDone(flow) ||
+		e.inFlight == 0 && e.cfg.busyPeriod {
 		e.stop = true
 	}
 }

@@ -74,6 +74,10 @@ type Config struct {
 	// SearchWorstCase sets it, for probes that read nothing but the
 	// target's worst latency.
 	stopFlow int
+	// busyPeriod ends the run at the top of the cycle after the network
+	// first drains: after the first release, every released packet has
+	// been delivered. Only Engine.RunBusyPeriod sets it.
+	busyPeriod bool
 }
 
 // Stats reports engine-internal execution counters. They describe how a
@@ -90,9 +94,11 @@ type Stats struct {
 	// FastPathCycles is the total number of simulated cycles covered by
 	// those batches (each batch covers at least 2 cycles).
 	FastPathCycles noc.Cycles
-	// StoppedAt is the cycle a target-scoped run (a SearchWorstCase
-	// probe) ended at: below Duration when it stopped early, Duration
-	// when it ran the full horizon. Zero for full-horizon runs.
+	// StoppedAt is the cycle a run that may stop early ended at: a
+	// target-scoped run (a SearchWorstCase probe) or a busy-period run
+	// (Engine.RunBusyPeriod). It is below Duration when the run stopped
+	// early and Duration when it did not. Zero for runs that never stop
+	// early (Run, Engine.Run).
 	StoppedAt noc.Cycles
 }
 
