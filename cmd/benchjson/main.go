@@ -11,8 +11,8 @@
 // BenchmarkWhatIfIncremental/<scenario> for the speedup of the
 // delta-aware incremental analysis engine over from-scratch re-analysis,
 // and any BenchmarkRunManySequential/<scenario> pairs with
-// BenchmarkRunMany/<scenario> for the scenario throughput of the batch
-// runner over one-at-a-time engine runs, and any
+// BenchmarkRunMany/<scenario> for the throughput of a warm sim.Phasings
+// batch over one-at-a-time engine runs, and any
 // BenchmarkSearchProbeFull/<scenario> pairs with
 // BenchmarkSearchProbeScoped/<scenario> for the phasing search's
 // target-scoped probes over full-horizon ones, and any
@@ -297,6 +297,9 @@ func parseResult(name, iters, rest string) (*Benchmark, error) {
 var pairPrefixes = []struct{ before, after string }{
 	{"BenchmarkEngineReference/", "BenchmarkEngine/"},
 	{"BenchmarkWhatIfScratch/", "BenchmarkWhatIfIncremental/"},
+	// One engine run at a time vs one warm sim.Phasings batch over the
+	// same phasings; the names predate the evaluator and stay so the
+	// committed baselines keep gating the pair.
 	{"BenchmarkRunManySequential/", "BenchmarkRunMany/"},
 	{"BenchmarkSearchProbeFull/", "BenchmarkSearchProbeScoped/"},
 	// The exhaustive backend's raw-grid enumeration vs the symmetry-

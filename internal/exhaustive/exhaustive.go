@@ -80,12 +80,12 @@
 // results remain valid lower bounds on the true worst case and any
 // bound exceedance they witness is a real violation.
 //
-// Exploration fans out over parallel.Runner with deterministic work
-// partitioning: the sampled state space is cut into fixed-size index
-// chunks merged in chunk order, so the Result is bit-identical at any
-// worker count. internal/oracle wires Explore in as the exhaustive-
-// divergent invariant class; cmd/nocfuzz's exhaust subcommand drives
-// whole matrices of small configurations through it.
+// Each group's sampled phasings are one batch of a sim.Phasings
+// evaluator, which fans them out over warm per-worker engines and folds
+// per-flow maxima to the lowest enumeration index, so the Result is
+// bit-identical at any worker count. internal/oracle wires Explore in
+// as the exhaustive-divergent invariant class; cmd/nocfuzz's exhaust
+// subcommand drives whole matrices of small configurations through it.
 package exhaustive
 
 import (
@@ -93,11 +93,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 
 	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
-	"wormnoc/internal/parallel"
 	"wormnoc/internal/sim"
 	"wormnoc/internal/traffic"
 )
@@ -119,11 +117,6 @@ const (
 	// DefaultDedupCap bounds the visited set of the refinement pass (see
 	// Config.DedupCap).
 	DefaultDedupCap = 1 << 16
-	// chunkStates is the number of sampled grid points per work chunk.
-	// Fixed — never derived from the worker count — so the chunk
-	// partition, and with it the merged result, is identical at any
-	// parallelism.
-	chunkStates = 2048
 )
 
 // ClusterSpace sizes one contention cluster's share of the state space.
@@ -306,8 +299,8 @@ type Config struct {
 	// sampling instead of returning an error. The result is then marked
 	// Complete=false with the reason in Truncation.
 	AllowTruncated bool
-	// Workers bounds the chunk fan-out (0 = GOMAXPROCS). The result is
-	// bit-identical for any value.
+	// Workers bounds the engines simulating phasings at once
+	// (0 = GOMAXPROCS). The result is bit-identical for any value.
 	Workers int
 	// Context, when non-nil, cancels a long exploration. A cancelled run
 	// returns the states merged so far, marked truncated; which states
@@ -441,13 +434,12 @@ func (r *Result) Proven(i int) bool {
 // Duration — the full system's horizon — so the certified class is the
 // same one an unreduced run certifies.
 type group struct {
-	flows     []int // member flow indices in the full system
-	sys       *traffic.System
-	e         enum
-	base      int64
-	rawSize   int64
-	periods   []int64
-	deadlines []int64
+	flows   []int // member flow indices in the full system
+	sys     *traffic.System
+	e       enum
+	base    int64
+	rawSize int64
+	periods []int64
 }
 
 // buildGroups materialises the reduction mode's flow groups and their
@@ -481,12 +473,10 @@ func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, []int,
 			g.sys = sub
 		}
 		g.periods = make([]int64, len(flows))
-		g.deadlines = make([]int64, len(flows))
 		g.rawSize = 1
 		for k, fi := range flows {
 			f := sys.Flow(fi)
 			g.periods[k] = int64(f.Period)
-			g.deadlines[k] = int64(f.Deadline)
 			g.rawSize *= g.periods[k]
 			groupOf[fi] = gi
 		}
@@ -495,15 +485,6 @@ func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, []int,
 		base += g.e.size
 	}
 	return groups, groupOf, nil
-}
-
-// groupAt returns the group owning concatenated enumeration index idx.
-func groupAt(groups []group, idx int64) *group {
-	gi := 0
-	for idx >= groups[gi].base+groups[gi].e.size {
-		gi++
-	}
-	return &groups[gi]
 }
 
 // reductionStats derives the Reductions record for a run over groups.
@@ -524,17 +505,6 @@ func reductionStats(sp Space, mode Reduction, groups []group, total int64) Reduc
 		red.SymmetryFactor = float64(raw) / float64(total)
 	}
 	return red
-}
-
-// chunkRes accumulates one chunk's per-flow maxima. worstAt carries the
-// concatenated enumeration index achieving the maximum so the merge can
-// prefer the lowest index deterministically.
-type chunkRes struct {
-	worst    []noc.Cycles
-	worstAt  []int64
-	censored []int64
-	misses   []int64
-	states   int64
 }
 
 // Explore enumerates the phasing state space of sys — reduced per
@@ -558,6 +528,7 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 	}
 	for i := 0; i < n; i++ {
 		res.Flows[i].Worst = -1
+		res.Flows[i].Offsets = make([]noc.Cycles, n)
 		res.priorities[i] = sys.Flow(i).Priority
 	}
 	if res.Duration <= 0 {
@@ -598,156 +569,66 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 	res.Stride = stride
 	res.Explored = ceilDiv(total, stride)
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	numChunks := int(ceilDiv(res.Explored, chunkStates))
-	chunks := make([]chunkRes, numChunks)
-	{
-		// One arena for all chunk slices keeps the allocation count flat
-		// in the chunk count.
-		cyc := make([]noc.Cycles, numChunks*n)
-		i64 := make([]int64, 3*numChunks*n)
-		for c := range chunks {
-			chunks[c].worst, cyc = cyc[:n:n], cyc[n:]
-			chunks[c].worstAt, i64 = i64[:n:n], i64[n:]
-			chunks[c].censored, i64 = i64[:n:n], i64[n:]
-			chunks[c].misses, i64 = i64[:n:n], i64[n:]
-		}
-	}
-	// Engines and offset scratch are per (worker slot, group), created
-	// lazily: a run whose chunks never reach a group on some worker
-	// never pays for that group's engine there.
-	engines := make([][]*sim.Engine, workers)
-	offsets := make([][][]noc.Cycles, workers)
-	runner := parallel.Runner{Workers: workers, Context: cfg.Context}
-	runErr := runner.RunWorkers(numChunks, func(w, c int) error {
-		if engines[w] == nil {
-			engines[w] = make([]*sim.Engine, len(groups))
-			offsets[w] = make([][]noc.Cycles, len(groups))
-		}
-		cr := &chunks[c]
-		for i := range cr.worst {
-			cr.worst[i] = -1
-			cr.worstAt[i] = -1
-		}
-		lo := int64(c) * chunkStates
-		hi := lo + chunkStates
-		if hi > res.Explored {
-			hi = res.Explored
-		}
-		gi := 0 // sample indices ascend, so the group cursor only advances
-		for k := lo; k < hi; k++ {
-			idx := k * stride
-			for idx >= groups[gi].base+groups[gi].e.size {
-				gi++
-			}
-			g := &groups[gi]
-			eng := engines[w][gi]
-			if eng == nil {
-				eng = sim.NewEngine(g.sys)
-				engines[w][gi] = eng
-				offsets[w][gi] = make([]noc.Cycles, len(g.flows))
-			}
-			off := offsets[w][gi]
-			g.e.decode(idx-g.base, off)
-			// A stride-1 pass enumerates every representative, so each
-			// run can stop at its first idle instant: every later busy
-			// period is the first busy period of another representative
-			// (DESIGN.md §15). Strided sampling cannot rely on that.
-			scfg := sim.Config{Duration: res.Duration, Offsets: off}
-			var sr *sim.Result
-			var err error
-			if stride == 1 {
-				sr, err = eng.RunBusyPeriod(scfg)
-			} else {
-				sr, err = eng.Run(scfg)
-			}
-			if err != nil {
-				return err
-			}
-			cr.states++
-			// A run that drained before the horizon completed every
-			// packet of its busy period: nothing in it is censored.
-			drained := stride == 1 && sr.Stats.StoppedAt < res.Duration
-			for fk, i := range g.flows {
-				if sr.WorstLatency[fk] > cr.worst[i] {
-					cr.worst[i] = sr.WorstLatency[fk]
-					cr.worstAt[i] = idx
-				}
-				if !drained && int64(sr.Completed[fk]) < expectedAt(int64(off[fk]), g.periods[fk], int64(res.Duration), g.deadlines[fk]) {
-					cr.censored[i]++
-				}
-				cr.misses[i] += int64(sr.DeadlineMisses[fk])
-			}
-		}
-		return nil
-	})
+	// One evaluator per group, shared by the systematic pass and the
+	// refinement. Each group's sampled indices k·stride in
+	// [base, base+size) are one batch; a flow belongs to exactly one
+	// group, so its batch's fold is its result.
+	evals := make([]*sim.Phasings, len(groups))
 	cancelled := false
-	if runErr != nil {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
+	for gi := range groups {
+		g := &groups[gi]
+		k0 := ceilDiv(g.base, stride)
+		runs := ceilDiv(g.base+g.e.size, stride) - k0
+		if runs <= 0 {
+			continue
+		}
+		evals[gi] = sim.NewPhasings(g.sys, cfg.Workers)
+		decode := func(i int, off []noc.Cycles) { g.e.decode((k0+int64(i))*stride-g.base, off) }
+		// A stride-1 pass enumerates every representative, so each run
+		// can stop at its first idle instant: every later busy period is
+		// the first busy period of another representative (DESIGN.md
+		// §15). Strided sampling cannot rely on that.
+		eval := evals[gi].Eval
+		if stride == 1 {
+			eval = evals[gi].EvalBusyPeriods
+		}
+		fold, err := eval(ctx, sim.Config{Duration: res.Duration}, int(runs), decode)
+		if err != nil && (fold == nil || ctx.Err() == nil) {
+			return nil, fmt.Errorf("exhaustive: exploration failed: %w", err)
+		}
+		res.States += int64(fold.Runs)
+		// De-canonicalise witnesses: decode the winning group-local
+		// vector and embed it into a full-length phasing (zero offsets
+		// for the other groups — any value would do, those flows provably
+		// cannot affect these). The result is an ordinary grid point
+		// replaying to the reported worst.
+		loc := make([]noc.Cycles, len(g.flows))
+		for fk, i := range g.flows {
+			fr := &res.Flows[i]
+			fr.Worst, fr.Censored, fr.DeadlineMisses = fold.Worst[fk], fold.Censored[fk], fold.Misses[fk]
+			if fold.At[fk] >= 0 {
+				decode(fold.At[fk], loc)
+				for k, fj := range g.flows {
+					fr.Offsets[fj] = loc[k]
+				}
+			}
+		}
+		if err != nil {
 			cancelled = true
-			res.Truncation = fmt.Sprintf("cancelled mid-exploration: %v; partial coverage only", runErr)
-		} else {
-			return nil, fmt.Errorf("exhaustive: exploration failed: %w", runErr)
-		}
-	}
-
-	// Merge in chunk order: the per-flow maximum prefers the lowest
-	// enumeration index on ties, so the reported witness phasing is
-	// deterministic.
-	best := make([]int64, n)
-	for i := range best {
-		best[i] = -1
-	}
-	for c := range chunks {
-		cr := &chunks[c]
-		res.States += cr.states
-		for i := 0; i < n; i++ {
-			if cr.worstAt[i] >= 0 && (cr.worst[i] > res.Flows[i].Worst ||
-				(cr.worst[i] == res.Flows[i].Worst && (best[i] < 0 || cr.worstAt[i] < best[i]))) {
-				res.Flows[i].Worst = cr.worst[i]
-				best[i] = cr.worstAt[i]
-			}
-			res.Flows[i].Censored += cr.censored[i]
-			res.Flows[i].DeadlineMisses += cr.misses[i]
-		}
-	}
-	// De-canonicalise witnesses: decode the winning group-local vector
-	// and embed it into a full-length phasing (zero offsets for the
-	// other groups — any value would do, those flows provably cannot
-	// affect this one). The result is an ordinary grid point replaying
-	// to the reported worst.
-	for i := 0; i < n; i++ {
-		res.Flows[i].Offsets = make([]noc.Cycles, n)
-		if best[i] >= 0 {
-			g := groupAt(groups, best[i])
-			loc := make([]noc.Cycles, len(g.flows))
-			g.e.decode(best[i]-g.base, loc)
-			for k, fi := range g.flows {
-				res.Flows[i].Offsets[fi] = loc[k]
-			}
+			res.Truncation = fmt.Sprintf("cancelled mid-exploration: %v; partial coverage only", err)
+			break
 		}
 	}
 
 	if stride > 1 && !cancelled {
-		refine(cfg, res, groups, groupOf, best)
+		refine(cfg, res, groups, groupOf, evals)
 	}
 	res.Complete = stride == 1 && !cancelled
 	return res, nil
-}
-
-// expectedAt returns the number of completions a flow releasing at
-// offset off owes the horizon: releases at off + m·period with a full
-// deadline window before the last simulated cycle. A shortfall means a
-// packet outlived its deadline without completing — censoring evidence.
-func expectedAt(off, period, duration, deadline int64) int64 {
-	last := duration - 1 - deadline
-	if off > last {
-		return 0
-	}
-	return (last-off)/period + 1
 }
 
 // refine runs the local-refinement pass of a strided exploration:
@@ -759,38 +640,35 @@ func expectedAt(off, period, duration, deadline int64) int64 {
 // enumeration-rank arithmetic, the latter by the bounded visited set.
 // Swept vectors may leave the canonical representative set; they are
 // still ordinary class members, so their latencies are valid lower
-// bounds, which is all a truncated run reports. The pass is sequential
-// and in a fixed sweep order, so strided results stay deterministic at
-// any worker count.
-func refine(cfg Config, res *Result, groups []group, groupOf []int, best []int64) {
+// bounds, which is all a truncated run reports. Each flow's candidates,
+// generated in a fixed sweep order, are one batch of its group's
+// evaluator, and the batches run in flow order, so strided results stay
+// deterministic at any worker count.
+func refine(cfg Config, res *Result, groups []group, groupOf []int, evals []*sim.Phasings) {
 	dedupCap := cfg.DedupCap
 	if dedupCap <= 0 {
 		dedupCap = DefaultDedupCap
 	}
 	visited := make(map[string]struct{}, 1024)
-	engines := make([]*sim.Engine, len(groups))
-	scratch := make([][]noc.Cycles, len(groups))
+	var cands []noc.Cycles // the current flow's candidates, back to back
 	for target := range res.Flows {
-		if best[target] < 0 {
-			continue
+		if res.Flows[target].Worst < 0 {
+			continue // no witness to refine around
 		}
 		gi := groupOf[target]
 		g := &groups[gi]
-		if engines[gi] == nil {
-			engines[gi] = sim.NewEngine(g.sys)
-			scratch[gi] = make([]noc.Cycles, len(g.flows))
-		}
-		eng := engines[gi]
-		off := scratch[gi]
+		m := len(g.flows)
 		// Group-local projection of the target's best-known witness.
-		base := make([]noc.Cycles, len(g.flows))
+		base := make([]noc.Cycles, m)
 		for k, fi := range g.flows {
 			base[k] = res.Flows[target].Offsets[fi]
 		}
 		// Keys carry the group index so equal-length vectors of
 		// different groups can never alias in the visited set.
-		keyBuf := make([]byte, 1+8*len(g.flows))
+		keyBuf := make([]byte, 1+8*m)
 		keyBuf[0] = byte(gi)
+		off := make([]noc.Cycles, m)
+		cands = cands[:0]
 		for fk := range g.flows {
 			for d := int64(1); d < res.Stride; d++ {
 				for _, sign := range [2]int64{1, -1} {
@@ -811,26 +689,29 @@ func refine(cfg Config, res *Result, groups []group, groupOf []int, best []int64
 					if len(visited) < dedupCap {
 						visited[string(keyBuf)] = struct{}{}
 					}
-					sr, err := eng.Run(sim.Config{Duration: res.Duration, Offsets: off})
-					if err != nil {
-						return // validated inputs cannot fail; keep partial refinement
-					}
-					res.Refined++
-					res.States++
-					for k, fi := range g.flows {
-						if sr.WorstLatency[k] > res.Flows[fi].Worst {
-							res.Flows[fi].Worst = sr.WorstLatency[k]
-							for kk, fj := range g.flows {
-								res.Flows[fi].Offsets[fj] = off[kk]
-							}
-						}
-						if int64(sr.Completed[k]) < expectedAt(int64(off[k]), g.periods[k], int64(res.Duration), g.deadlines[k]) {
-							res.Flows[fi].Censored++
-						}
-						res.Flows[fi].DeadlineMisses += int64(sr.DeadlineMisses[k])
-					}
+					cands = append(cands, off...)
 				}
 			}
+		}
+		// Not cancellable: a refinement cut short by cfg.Context would
+		// leave a strided result that depends on timing without saying so.
+		fold, err := evals[gi].Eval(context.Background(), sim.Config{Duration: res.Duration}, len(cands)/m,
+			func(i int, o []noc.Cycles) { copy(o, cands[i*m:]) })
+		if err != nil {
+			return // validated inputs cannot fail; keep partial refinement
+		}
+		res.Refined += int64(fold.Runs)
+		res.States += int64(fold.Runs)
+		for k, fi := range g.flows {
+			fr := &res.Flows[fi]
+			if fold.Worst[k] > fr.Worst {
+				fr.Worst = fold.Worst[k]
+				for kk, fj := range g.flows {
+					fr.Offsets[fj] = cands[fold.At[k]*m+kk]
+				}
+			}
+			fr.Censored += fold.Censored[k]
+			fr.DeadlineMisses += fold.Misses[k]
 		}
 	}
 }

@@ -89,7 +89,7 @@ func (r *Runner) Run(n int, fn func(i int) error) error {
 // task i and workers is min(Workers or GOMAXPROCS, n). Tasks with the
 // same w run sequentially, so callers can pin per-worker reusable state
 // — one simulation engine per slot, say — without further locking
-// (sim.RunMany is the canonical client). Error, cancellation, progress
+// (sim.Phasings is the canonical client). Error, cancellation, progress
 // and panic-containment semantics are exactly Run's.
 func (r *Runner) RunWorkers(n int, fn func(w, i int) error) error {
 	parent := r.Context

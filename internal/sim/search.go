@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"wormnoc/internal/noc"
 	"wormnoc/internal/traffic"
@@ -68,10 +68,10 @@ type SearchResult struct {
 //
 // The search is the simulator's hottest client — thousands of runs per
 // invocation — so it recycles aggressively: every probe, restarts and
-// refinement batches alike, goes through RunMany with persistent
-// per-worker engine slots (one reusable Engine per worker for the whole
-// search), fixed candidate-offset buffers, and engine-owned results. A
-// probe costs zero allocations in steady state.
+// refinement batches alike, is a batch of one Phasings evaluator that
+// keeps one warm Engine per worker for the whole search, over fixed
+// candidate-offset buffers. A probe costs zero allocations in steady
+// state.
 //
 // Probes are target-scoped: each ends as soon as the target can no
 // longer complete a packet inside Base.Duration, often long before the
@@ -106,43 +106,30 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 
 	best := &SearchResult{Worst: -1, Offsets: make([]noc.Cycles, n)}
 
-	// Candidate-offset buffers and target-scoped probe specs, reused for
-	// every batch (a restart probe is a batch of one in slot 0), and
-	// persistent engine slots handed to RunMany so each worker keeps one
-	// warm Engine across all batches.
+	// Candidate-offset buffers, reused for every batch (a restart probe
+	// is a batch of one in slot 0), and one evaluator whose per-worker
+	// engines stay warm across all batches. The candidates carry every
+	// offset, so the probes' base has none.
 	cands := make([][]noc.Cycles, cfg.ProbesPerFlow)
 	candStore := make([]noc.Cycles, cfg.ProbesPerFlow*n)
 	for i := range cands {
 		cands[i], candStore = candStore[:n:n], candStore[n:]
 	}
-	out := make([]noc.Cycles, cfg.ProbesPerFlow)
-	specs := make([]RunSpec, cfg.ProbesPerFlow)
-	for i := range specs {
-		specs[i].Sys = sys
-		specs[i].Cfg = cfg.Base
-		specs[i].Cfg.Offsets = cands[i]
-		specs[i].Cfg.stopFlow = cfg.Target + 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.ProbesPerFlow {
-		workers = cfg.ProbesPerFlow
-	}
-	many := ManyOptions{Workers: workers, Engines: make([]*Engine, workers)}
+	ph := NewPhasings(sys, cfg.Workers)
+	probe := cfg.Base
+	probe.Offsets = nil
+	probe.stopFlow = cfg.Target + 1
+	setCand := func(i int, off []noc.Cycles) { copy(off, cands[i]) }
 
-	// evalBatch evaluates cands[0:k] into out[0:k].
-	evalBatch := func(k int) error {
-		err := RunMany(specs[:k], many, func(i int, res *Result) error {
-			out[i] = res.WorstLatency[cfg.Target]
-			return nil
-		})
+	// evalBatch evaluates cands[0:k]: the target's largest latency and
+	// the first candidate reaching it.
+	evalBatch := func(k int) (noc.Cycles, int, error) {
+		fold, err := ph.Eval(context.TODO(), probe, k, setCand)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		best.Runs += k
-		return nil
+		best.Runs += fold.Runs
+		return fold.Worst[cfg.Target], fold.At[cfg.Target], nil
 	}
 
 	cur := make([]noc.Cycles, n)
@@ -156,10 +143,10 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 			}
 			start[cfg.Target] = 0 // measure the target from a fixed phase
 		}
-		if err := evalBatch(1); err != nil {
+		curWorst, _, err := evalBatch(1)
+		if err != nil {
 			return nil, err
 		}
-		curWorst := out[0]
 		copy(cur, start)
 		for pass := 0; pass < cfg.RefineSteps; pass++ {
 			improved := false
@@ -172,15 +159,14 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 					copy(cands[p], cur)
 					cands[p][f] = noc.Cycles(rng.Int63n(period))
 				}
-				if err := evalBatch(cfg.ProbesPerFlow); err != nil {
+				w, at, err := evalBatch(cfg.ProbesPerFlow)
+				if err != nil {
 					return nil, err
 				}
-				for i := 0; i < cfg.ProbesPerFlow; i++ {
-					if out[i] > curWorst {
-						curWorst = out[i]
-						copy(cur, cands[i])
-						improved = true
-					}
+				if w > curWorst {
+					curWorst = w
+					copy(cur, cands[at])
+					improved = true
 				}
 			}
 			if !improved {

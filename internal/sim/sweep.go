@@ -1,11 +1,10 @@
 package sim
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"wormnoc/internal/noc"
-	"wormnoc/internal/parallel"
 	"wormnoc/internal/traffic"
 )
 
@@ -14,7 +13,8 @@ type SweepResult struct {
 	// Worst[i] is the maximum observed latency of flow i over all runs of
 	// the sweep (-1 if the flow never completed a packet in any run).
 	Worst []noc.Cycles
-	// WorstOffset[i] is the swept offset at which Worst[i] was observed.
+	// WorstOffset[i] is the lowest swept offset at which Worst[i] was
+	// observed (0 if the flow never completed a packet).
 	WorstOffset []noc.Cycles
 	// Runs counts the simulations performed.
 	Runs int
@@ -28,10 +28,9 @@ type SweepResult struct {
 //
 // This reproduces the paper's simulation methodology for Table II: the
 // MPB effect only manifests when the interfering flow's releases are "not
-// in phase" with the others, so the phasing must be searched.
-// Simulations run in parallel — each worker draws a reusable Engine from
-// a shared pool, so the sweep's cost is simulation, not allocation —
-// and the search is deterministic.
+// in phase" with the others, so the phasing must be searched. The
+// settings are one Phasings batch on GOMAXPROCS warm engines, and the
+// result does not depend on the worker count.
 func SweepOffsets(sys *traffic.System, base Config, flowIdx int, maxOffset, step noc.Cycles) (*SweepResult, error) {
 	if flowIdx < 0 || flowIdx >= sys.NumFlows() {
 		return nil, fmt.Errorf("sim: sweep flow index %d out of range (%d flows)", flowIdx, sys.NumFlows())
@@ -39,58 +38,23 @@ func SweepOffsets(sys *traffic.System, base Config, flowIdx int, maxOffset, step
 	if step < 1 || maxOffset < 1 {
 		return nil, fmt.Errorf("sim: sweep needs step >= 1 and maxOffset >= 1, got %d and %d", step, maxOffset)
 	}
-	if base.TraceWriter != nil {
-		return nil, fmt.Errorf("sim: tracing is not supported during offset sweeps")
-	}
-	n := sys.NumFlows()
-	out := &SweepResult{
-		Worst:       make([]noc.Cycles, n),
-		WorstOffset: make([]noc.Cycles, n),
-	}
-	for i := range out.Worst {
-		out.Worst[i] = -1
-	}
-
-	var offsets []noc.Cycles
-	for off := noc.Cycles(0); off < maxOffset; off += step {
-		offsets = append(offsets, off)
-	}
-	// Per-offset worst latencies, copied out of the pooled engines'
-	// reusable results (flat backing block, one row per offset).
-	worsts := make([][]noc.Cycles, len(offsets))
-	flat := make([]noc.Cycles, len(offsets)*n)
-
-	enginePool := sync.Pool{New: func() any { return NewEngine(sys) }}
-
-	// The shared worker-pool runner stops dispatching remaining offsets
-	// as soon as one simulation fails.
-	err := (&parallel.Runner{}).Run(len(offsets), func(idx int) error {
-		eng := enginePool.Get().(*Engine)
-		defer enginePool.Put(eng)
-		cfg := base
-		cfg.Offsets = make([]noc.Cycles, n)
-		copy(cfg.Offsets, base.Offsets)
-		cfg.Offsets[flowIdx] = offsets[idx]
-		res, err := eng.Run(cfg)
-		if err != nil {
-			return err
-		}
-		row := flat[idx*n : (idx+1)*n : (idx+1)*n]
-		copy(row, res.WorstLatency)
-		worsts[idx] = row
-		return nil
+	// (maxOffset-1)/step + 1 settings, the last at most maxOffset-1: no
+	// offset overflows.
+	runs := int((maxOffset-1)/step + 1)
+	fold, err := NewPhasings(sys, 0).Eval(context.TODO(), base, runs, func(i int, off []noc.Cycles) {
+		off[flowIdx] = noc.Cycles(i) * step
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	for idx, w := range worsts {
-		out.Runs++
-		for i := 0; i < n; i++ {
-			if w[i] > out.Worst[i] {
-				out.Worst[i] = w[i]
-				out.WorstOffset[i] = offsets[idx]
-			}
+	out := &SweepResult{
+		Worst:       fold.Worst, // the evaluator dies here, so its fold can be kept
+		WorstOffset: make([]noc.Cycles, len(fold.At)),
+		Runs:        fold.Runs,
+	}
+	for f, at := range fold.At {
+		if at >= 0 {
+			out.WorstOffset[f] = noc.Cycles(at) * step
 		}
 	}
 	return out, nil
