@@ -211,7 +211,9 @@ func Plan(sys *traffic.System) (Space, error) {
 		return sp, fmt.Errorf("exhaustive: interleavings are not enumerable: %s", reason)
 	}
 	sp.GridSize = 1
-	sp.Hyperperiod = 1
+	if sp.Hyperperiod = sys.Hyperperiod(); sp.Hyperperiod == noc.MaxCycles {
+		return sp, fmt.Errorf("exhaustive: hyperperiod overflows int64 (periods too large)")
+	}
 	for i := 0; i < n; i++ {
 		f := sys.Flow(i)
 		p := int64(f.Period)
@@ -219,11 +221,6 @@ func Plan(sys *traffic.System) (Space, error) {
 			return sp, fmt.Errorf("exhaustive: phasing grid overflows int64 (periods too large)")
 		}
 		sp.GridSize *= p
-		h := lcm(sp.Hyperperiod, f.Period)
-		if h <= 0 {
-			return sp, fmt.Errorf("exhaustive: hyperperiod overflows int64 (periods too large)")
-		}
-		sp.Hyperperiod = h
 		if f.Deadline > sp.MaxDeadline {
 			sp.MaxDeadline = f.Deadline
 		}
@@ -251,24 +248,6 @@ func Plan(sys *traffic.System) (Space, error) {
 	}
 	sp.ReducedGridSize = sp.SizeUnder(ReduceAll)
 	return sp, nil
-}
-
-func gcd(a, b noc.Cycles) noc.Cycles {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// lcm returns the least common multiple, or a non-positive value on
-// int64 overflow.
-func lcm(a, b noc.Cycles) noc.Cycles {
-	g := gcd(a, b)
-	q := a / g
-	if q != 0 && b > math.MaxInt64/q {
-		return -1
-	}
-	return q * b
 }
 
 // Config parameterises one exploration. The zero value explores the

@@ -168,16 +168,11 @@ func randomOffsets(sys *traffic.System, seed int64) []noc.Cycles {
 // proofHorizon is the exhaustive explorer's horizon for sys: the
 // hyperperiod plus twice the largest deadline.
 func proofHorizon(sys *traffic.System) noc.Cycles {
-	hyper, maxDeadline := noc.Cycles(1), noc.Cycles(0)
+	maxDeadline := noc.Cycles(0)
 	for _, f := range sys.Flows() {
-		a, b := hyper, f.Period
-		for b != 0 {
-			a, b = b, a%b
-		}
-		hyper = hyper / a * f.Period
 		maxDeadline = max(maxDeadline, f.Deadline)
 	}
-	return hyper + 2*maxDeadline
+	return sys.Hyperperiod() + 2*maxDeadline
 }
 
 // TestDifferentialTiny covers the regime of the exhaustive prover:
@@ -246,8 +241,46 @@ func TestDifferentialTiny(t *testing.T) {
 // TestEngineReuseMatchesFreshRuns drives one Engine through a sequence
 // of differently-shaped runs (changing offsets, jitter, caps, recording)
 // and checks every result against a fresh single-shot Run: reset must
-// leave no residue.
+// leave no residue. Its tiny-system half mixes target-scoped probes
+// that the recurrence cut ends with probes it may not touch, so stale
+// drain phases or completion logs would show.
 func TestEngineReuseMatchesFreshRuns(t *testing.T) {
+	cut, uncut := 0, 0
+	for i := 0; i < 24; i++ {
+		seed := oracle.DeriveSeed(0x5EED7, int64(i))
+		sys, err := oracle.Generate(seed, tinyGen).System()
+		if err != nil {
+			t.Fatalf("tiny scenario %d: %v", i, err)
+		}
+		eng := sim.NewEngine(sys)
+		hyper := sys.Hyperperiod()
+		for pass := 0; pass < 2; pass++ {
+			for k, dur := range []noc.Cycles{2_000, proofHorizon(sys), hyper, 2_000} {
+				cfg := sim.Config{Duration: dur, Offsets: randomOffsets(sys, seed+int64(k)), RecordLatencies: k == 3}
+				target := (k + pass) % sys.NumFlows()
+				fresh, err := sim.Run(sys, sim.Scoped(cfg, target))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused, err := eng.Run(sim.Scoped(cfg, target))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, reused) {
+					t.Fatalf("tiny scenario %d duration %d target %d pass %d: reused engine diverged from fresh run\nfresh: %+v\nreused: %+v",
+						i, dur, target, pass, fresh, reused)
+				}
+				if sim.RecurrencePeriod(reused) > 0 {
+					cut++
+				} else {
+					uncut++
+				}
+			}
+		}
+	}
+	if cut == 0 || uncut == 0 {
+		t.Errorf("tiny probes: %d cut by recurrence, %d not; the reuse check needs both", cut, uncut)
+	}
 	for i := 0; i < 12; i++ {
 		seed := oracle.DeriveSeed(0x5EED, int64(i))
 		sc := oracle.Generate(seed, oracle.GenConfig{})

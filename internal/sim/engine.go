@@ -18,6 +18,11 @@ const maxCycles = noc.Cycles(math.MaxInt64)
 // ~32KiB of CSV instead of one Fprintf per flit.
 const traceFlushSize = 32 << 10
 
+// maxCutHyperperiod bounds the hyperperiod of a recurrence-cut run, and
+// so the engine's phase set, one bit per hyperperiod cycle, at 128KiB:
+// a long horizon over long commensurate periods must not cost gigabytes.
+const maxCutHyperperiod = 1 << 20
+
 // packet is one released packet. Packets live in the engine's slab and
 // are addressed by int32 slab index, so flits, arrivals and source
 // queues hold no pointers and the hot loop copies small plain values.
@@ -280,10 +285,32 @@ type Engine struct {
 	flitsLive int // flits inside FIFOs or in transit
 
 	// stop is set once a target-scoped run's target can no longer
-	// complete a packet inside the horizon (see targetDone), or once a
-	// busy-period run's network drains; the main loop then exits at the
-	// top of the next cycle.
+	// complete a packet inside the horizon (see targetDone), once a
+	// busy-period run's network drains, or once a recurrence-cut run
+	// drains at a phase it drained at before; the main loop then exits
+	// at the top of the next cycle.
 	stop bool
+
+	// Recurrence-cut state (DESIGN.md §10). hyper is lcm(Tᵢ). recur
+	// gates the cut for this run; phaseFrom is the first cycle from
+	// which every flow's next release lies less than a period ahead.
+	// seenPhase is a bitset over [0, hyper) of the phases d mod hyper of
+	// the drains recorded so far; cutLog holds those drains and the
+	// target's completions in time order, and a cut run's repeating
+	// segment starts after cutLog[cutFrom].
+	hyper     noc.Cycles
+	recur     bool
+	phaseFrom noc.Cycles
+	seenPhase []uint64
+	cutLog    []cutEvent
+	cutFrom   int
+}
+
+// cutEvent is one entry of a recurrence-cut run's log: a target
+// completion at cycle at with latency lat, or, when lat is negative, a
+// recorded drain at cycle at.
+type cutEvent struct {
+	at, lat noc.Cycles
 }
 
 // NewEngine builds a reusable event-driven engine for sys. The engine
@@ -315,6 +342,7 @@ func NewEngine(sys *traffic.System) *Engine {
 		arbSet:      make([]uint64, words),
 		linkWakeAt:  make([]noc.Cycles, topo.NumLinks()),
 		fastOK:      rc.LinkLatency == 1 && rc.RouteLatency == 0,
+		hyper:       sys.Hyperperiod(),
 		winnerOf:    make([]int32, topo.NumLinks()),
 		res: &Result{
 			WorstLatency:   make([]noc.Cycles, n),
@@ -447,6 +475,85 @@ func (e *Engine) reset(cfg Config) {
 	// A target first released at or past the horizon has nothing to
 	// observe.
 	e.stop = cfg.stopFlow > 0 && e.targetDone(cfg.stopFlow-1)
+	// A jitter-free, uncapped, untraced, unrecorded scoped run whose
+	// horizon spans a hyperperiod may end at a recurrence; cycle 0 is its
+	// first drain. The phase set is cleared bit by bit through the last
+	// cut run's drains, so a reset costs nothing per hyperperiod cycle.
+	for _, ev := range e.cutLog {
+		if ev.lat < 0 {
+			ph := ev.at % e.hyper
+			e.seenPhase[ph>>6] &^= 1 << (ph & 63)
+		}
+	}
+	e.cutLog = e.cutLog[:0]
+	e.recur = cfg.stopFlow > 0 && !cfg.InjectJitter && cfg.MaxPacketsPerFlow == 0 &&
+		cfg.TraceWriter == nil && !cfg.RecordLatencies && e.hyper < cfg.Duration &&
+		e.hyper <= maxCutHyperperiod
+	if e.recur {
+		if e.seenPhase == nil {
+			e.seenPhase = make([]uint64, (e.hyper+63)/64)
+		}
+		e.phaseFrom = 0
+		for i, off := range cfg.Offsets {
+			e.phaseFrom = max(e.phaseFrom, off-e.flows[i].Period+1)
+		}
+		e.drained(0)
+	}
+}
+
+// drained handles a drain instant d of a recurrence-cut run: every
+// released packet has been delivered and no release at d has happened
+// yet. From d on, the run depends only on each flow's next release
+// minus d, a function of d mod hyper once d >= phaseFrom. So when an
+// earlier drain had the same phase, the run from that drain on repeats
+// with period d minus it, and the run stops; run then extrapolates the
+// target's row (extrapolate).
+func (e *Engine) drained(d noc.Cycles) {
+	if d < e.phaseFrom {
+		return
+	}
+	ph := d % e.hyper
+	if w, bit := ph>>6, uint64(1)<<(ph&63); e.seenPhase[w]&bit == 0 {
+		e.seenPhase[w] |= bit
+		e.cutLog = append(e.cutLog, cutEvent{at: d, lat: -1})
+		return
+	}
+	k := len(e.cutLog) - 1
+	for e.cutLog[k].lat >= 0 || e.cutLog[k].at%e.hyper != ph {
+		k--
+	}
+	e.cutFrom = k
+	e.res.Stats.recurrence = d - e.cutLog[k].at
+	e.stop = true
+}
+
+// extrapolate completes the target's row of a run cut at a recurrence
+// of period L from drain cutLog[cutFrom]: each target completion at a
+// after that drain recurs ⌊(Duration−1−a)/L⌋ more times inside the
+// horizon, with the same latency, and Released counts every tick below
+// the horizon. The recurrences repeat latencies and occupancies already
+// observed, so WorstLatency and MaxOccupancy are final.
+func (e *Engine) extrapolate() {
+	f, L := e.cfg.stopFlow-1, e.res.Stats.recurrence
+	fl := &e.flows[f]
+	for _, c := range e.cutLog[e.cutFrom+1:] {
+		if c.lat < 0 {
+			continue
+		}
+		n := (e.cfg.Duration - 1 - c.at) / L
+		e.res.Completed[f] += int(n)
+		e.res.TotalLatency[f] += n * c.lat
+		if c.lat > fl.Deadline {
+			e.res.DeadlineMisses[f] += int(n)
+		}
+	}
+	// The target's offset is below the horizon, or reset would have
+	// stopped the run before its first cycle.
+	off := noc.Cycles(0)
+	if e.cfg.Offsets != nil {
+		off = e.cfg.Offsets[f]
+	}
+	e.res.Released[f] = int((e.cfg.Duration-1-off)/fl.Period + 1)
 }
 
 // targetDone reports whether flow f, the target of a scoped run, can no
@@ -593,6 +700,9 @@ func (e *Engine) run() {
 	}
 	if e.cfg.stopFlow > 0 || e.cfg.busyPeriod {
 		e.res.Stats.StoppedAt = t
+	}
+	if e.res.Stats.recurrence > 0 {
+		e.extrapolate()
 	}
 	e.res.InFlight = e.inFlight
 	e.flushTrace()
@@ -797,6 +907,14 @@ func (e *Engine) completePacket(flow int, p int32, at noc.Cycles) {
 	if flow == e.cfg.stopFlow-1 && e.targetDone(flow) ||
 		e.inFlight == 0 && e.cfg.busyPeriod {
 		e.stop = true
+	}
+	if e.recur && !e.stop {
+		if flow == e.cfg.stopFlow-1 {
+			e.cutLog = append(e.cutLog, cutEvent{at: at, lat: lat})
+		}
+		if e.inFlight == 0 {
+			e.drained(at)
+		}
 	}
 }
 

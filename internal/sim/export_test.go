@@ -1,8 +1,14 @@
 package sim
 
+import "wormnoc/internal/noc"
+
 // Scoped returns cfg as a target-scoped run of flow target, the way
 // SearchWorstCase configures its probes.
 func Scoped(cfg Config, target int) Config {
 	cfg.stopFlow = target + 1
 	return cfg
 }
+
+// RecurrencePeriod returns the period of the recurrence r's run was cut
+// at, or 0 when the cut did not fire.
+func RecurrencePeriod(r *Result) noc.Cycles { return r.Stats.recurrence }

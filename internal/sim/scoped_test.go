@@ -37,6 +37,7 @@ type scopedCase struct {
 	label string
 	sys   *traffic.System
 	cfg   sim.Config
+	tiny  bool // a TestDifferentialTiny system, the recurrence cut's regime
 }
 
 // withPeriodJitter returns sys with every flow's release jitter set to
@@ -58,10 +59,11 @@ func withPeriodJitter(t testing.TB, sys *traffic.System) *traffic.System {
 }
 
 // scopedCorpus is the differential suite's corpus — the 220 scenarios ×
-// diffConfigs of TestDifferentialEngines and the systems of
-// TestDifferentialSaturated — plus four loaded short-period meshes. The
-// latter two sets also run with period-long jitter injected, with a
-// packet cap, and with both.
+// diffConfigs of TestDifferentialEngines, the systems of
+// TestDifferentialSaturated and the tiny systems of TestDifferentialTiny
+// at both of its horizons and with late offsets — plus four loaded
+// short-period meshes. The saturated and loaded sets also run with
+// period-long jitter injected, with a packet cap, and with both.
 func scopedCorpus(t testing.TB) []scopedCase {
 	var cases []scopedCase
 	for i := 0; i < 220; i++ {
@@ -75,7 +77,7 @@ func scopedCorpus(t testing.TB) []scopedCase {
 			periods[f] = sys.Flow(f).Period
 		}
 		for ci, cfg := range diffConfigs(seed, sys.NumFlows(), periods) {
-			cases = append(cases, scopedCase{fmt.Sprintf("scenario %d cfg %d", i, ci), sys, cfg})
+			cases = append(cases, scopedCase{label: fmt.Sprintf("scenario %d cfg %d", i, ci), sys: sys, cfg: cfg})
 		}
 	}
 	variants := func(label string, sys *traffic.System, cfg sim.Config, seed int64) {
@@ -86,10 +88,35 @@ func scopedCorpus(t testing.TB) []scopedCase {
 		both.InjectJitter, both.JitterSeed = true, seed
 		jsys := withPeriodJitter(t, sys)
 		cases = append(cases,
-			scopedCase{label, sys, cfg},
-			scopedCase{label + " jittered", jsys, jittered},
-			scopedCase{label + " capped", sys, capped},
-			scopedCase{label + " jittered capped", jsys, both})
+			scopedCase{label: label, sys: sys, cfg: cfg},
+			scopedCase{label: label + " jittered", sys: jsys, cfg: jittered},
+			scopedCase{label: label + " capped", sys: sys, cfg: capped},
+			scopedCase{label: label + " jittered capped", sys: jsys, cfg: both})
+	}
+	for i := 0; i < 200; i++ {
+		seed := oracle.DeriveSeed(0x7147, int64(i))
+		sys, err := oracle.Generate(seed, tinyGen).System()
+		if err != nil {
+			t.Fatalf("tiny scenario %d: %v", i, err)
+		}
+		offs := randomOffsets(sys, seed)
+		for _, dur := range []noc.Cycles{2_000, proofHorizon(sys)} {
+			cases = append(cases, scopedCase{
+				label: fmt.Sprintf("tiny scenario %d duration %d", i, dur),
+				sys:   sys, cfg: sim.Config{Duration: dur, Offsets: offs}, tiny: true,
+			})
+		}
+		// Flow f first released f half-hyperperiods late: a drain before
+		// the last flow starts is not yet a function of its phase, and
+		// these cases fail when the cut treats it as one.
+		late := make([]noc.Cycles, len(offs))
+		for f := range late {
+			late[f] = offs[f] + noc.Cycles(f)*sys.Hyperperiod()/2
+		}
+		cases = append(cases, scopedCase{
+			label: fmt.Sprintf("tiny scenario %d late offsets", i),
+			sys:   sys, cfg: sim.Config{Duration: 2_000, Offsets: late}, tiny: true,
+		})
 	}
 	for i := 0; i < 40; i++ {
 		seed := oracle.DeriveSeed(0x5A70, int64(i))
@@ -123,10 +150,11 @@ func scopedCorpus(t testing.TB) []scopedCase {
 // TestScopedRunsMatchFullRuns runs every flow of the differential
 // corpus as the target of a scoped run, on one reused engine per case,
 // and holds the target's whole Result row to the full-horizon run's.
-// It also requires that most scoped runs actually stop early, so the
-// comparison cannot pass vacuously.
+// It also requires that most scoped runs actually stop early, and that
+// the recurrence cut, whose row is partly extrapolated, fires on at
+// least half of the tiny runs, so neither comparison passes vacuously.
 func TestScopedRunsMatchFullRuns(t *testing.T) {
-	runs, stopped := 0, 0
+	runs, stopped, tinyRuns, cut := 0, 0, 0, 0
 	for _, c := range scopedCorpus(t) {
 		full, err := sim.Run(c.sys, c.cfg)
 		if err != nil {
@@ -149,10 +177,49 @@ func TestScopedRunsMatchFullRuns(t *testing.T) {
 			if got.Stats.StoppedAt < c.cfg.Duration {
 				stopped++
 			}
+			if c.tiny {
+				tinyRuns++
+				if sim.RecurrencePeriod(got) > 0 {
+					cut++
+				}
+			}
 		}
 	}
 	if stopped*2 <= runs {
 		t.Errorf("only %d of %d scoped runs stopped before the horizon; the comparison is close to vacuous", stopped, runs)
 	}
-	t.Logf("%d of %d scoped runs stopped early", stopped, runs)
+	if cut*2 < tinyRuns {
+		t.Errorf("the recurrence cut fired on only %d of %d tiny scoped runs; its extrapolation is barely tested", cut, tinyRuns)
+	}
+	t.Logf("%d of %d scoped runs stopped early; the recurrence cut fired on %d of %d tiny runs", stopped, runs, cut, tinyRuns)
+}
+
+// TestRecurrenceCutHyperperiodCap checks that the cut, whose phase set
+// takes one bit per hyperperiod cycle, leaves hyperperiods above 2^20
+// cycles alone, while the same system with periods an eighth as long
+// takes it; both scoped rows match the full runs.
+func TestRecurrenceCutHyperperiodCap(t *testing.T) {
+	topo := noc.MustMesh(2, 1, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
+	for _, scale := range []noc.Cycles{1, 8} {
+		a, b := 3<<19/scale, 1<<20/scale // hyperperiod 3·2^20/scale
+		sys := traffic.MustSystem(topo, []traffic.Flow{
+			{Name: "a", Priority: 1, Period: a, Deadline: a, Length: 4, Src: 0, Dst: 1},
+			{Name: "b", Priority: 2, Period: b, Deadline: b, Length: 4, Src: 0, Dst: 1},
+		})
+		cfg := sim.Config{Duration: 4 * sys.Hyperperiod(), Offsets: []noc.Cycles{0, 2}}
+		full, err := sim.Run(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(sys, sim.Scoped(cfg, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, row := rowOf(full, 1), rowOf(got, 1); !reflect.DeepEqual(want, row) {
+			t.Fatalf("hyperperiod %d: scoped row %+v, full row %+v", sys.Hyperperiod(), row, want)
+		}
+		if cut := sim.RecurrencePeriod(got) > 0; cut != (scale == 8) {
+			t.Errorf("hyperperiod %d: recurrence cut fired %v, want %v", sys.Hyperperiod(), cut, scale == 8)
+		}
+	}
 }

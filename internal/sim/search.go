@@ -76,7 +76,9 @@ type SearchResult struct {
 // Probes are target-scoped: each ends as soon as the target can no
 // longer complete a packet inside Base.Duration, often long before the
 // horizon, because the probe reads only the target's worst latency and
-// that is final by then (DESIGN.md §10). Runs still counts every probe.
+// that is final by then. A jitter-free probe whose hyperperiod fits in
+// the horizon also ends once the network drains at a hyperperiod phase
+// it drained at before (DESIGN.md §10). Runs still counts every probe.
 // The result depends only on the configuration and seed, never on the
 // worker count.
 func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, error) {
@@ -86,6 +88,9 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	}
 	if cfg.Base.Duration < 1 {
 		return nil, fmt.Errorf("sim: search needs Base.Duration >= 1")
+	}
+	if cfg.Base.Offsets != nil && len(cfg.Base.Offsets) != n {
+		return nil, fmt.Errorf("sim: search got %d base offsets for %d flows", len(cfg.Base.Offsets), n)
 	}
 	if cfg.Base.TraceWriter != nil {
 		return nil, fmt.Errorf("sim: tracing is not supported during searches")

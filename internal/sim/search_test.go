@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wormnoc/internal/core"
@@ -87,6 +88,16 @@ func TestSearchWorstCaseErrors(t *testing.T) {
 	if _, err := sim.SearchWorstCase(sys, sim.SearchConfig{Target: 0}); err == nil {
 		t.Error("zero duration must fail")
 	}
+	// The first restart starts from Base.Offsets: too few would start
+	// the remaining flows at offset 0, too many would be dropped.
+	for _, k := range []int{1, sys.NumFlows() - 1, sys.NumFlows() + 3} {
+		_, err := sim.SearchWorstCase(sys, sim.SearchConfig{
+			Base: sim.Config{Duration: 100, Offsets: make([]noc.Cycles, k)}, Target: 0,
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d base offsets for %d flows", k, sys.NumFlows())) {
+			t.Errorf("%d offsets for %d flows: got error %v", k, sys.NumFlows(), err)
+		}
+	}
 }
 
 // TestSearchRespectsIBNOnRandomScenario: adversarial phasing search on a
@@ -123,11 +134,14 @@ func TestSearchRespectsIBNOnRandomScenario(t *testing.T) {
 	}
 }
 
-// probeScenario is one BenchmarkSearchProbe* workload: an oracle-
-// distribution system under the oracle's default 12 000-cycle horizon
-// and 64 probe phasings drawn the way SearchWorstCase draws them (the
-// target at offset 0, every other flow uniform over its period), the
-// targets cycling through the flows.
+// probeScenario is one BenchmarkSearchProbe* workload: a system and 64
+// probe phasings drawn the way SearchWorstCase draws them (the target at
+// offset 0, every other flow uniform over its period), the targets
+// cycling through the flows. The oracle* scenarios are oracle-
+// distribution systems under the oracle's default 12 000-cycle horizon;
+// the tiny* ones are `nocfuzz exhaust` systems under the 2 000-cycle
+// horizon of the prove regime's searches, where most probes end at a
+// recurrence (DESIGN.md §10).
 type probeScenario struct {
 	name    string
 	sys     *traffic.System
@@ -137,31 +151,41 @@ type probeScenario struct {
 
 func probeScenarios(b testing.TB) []probeScenario {
 	var out []probeScenario
-	for i := int64(0); i < 4; i++ {
-		seed := oracle.DeriveSeed(0x9B0E, i)
-		sys, err := oracle.Generate(seed, oracle.GenConfig{}).System()
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := sys.NumFlows()
-		jitter := false
-		for f := 0; f < n; f++ {
-			jitter = jitter || sys.Flow(f).Jitter > 0
-		}
-		rng := rand.New(rand.NewSource(seed))
-		sc := probeScenario{name: fmt.Sprintf("oracle%d", i), sys: sys}
-		for p := 0; p < 64; p++ {
-			target := p % n
-			offs := make([]noc.Cycles, n)
-			for f := range offs {
-				if f != target {
-					offs[f] = noc.Cycles(rng.Int63n(int64(sys.Flow(f).Period)))
-				}
+	for _, kind := range []struct {
+		name     string
+		stream   int64
+		gen      oracle.GenConfig
+		duration noc.Cycles
+	}{
+		{"oracle", 0x9B0E, oracle.GenConfig{}, 12_000},
+		{"tiny", 0x9B0F, tinyGen, 2_000},
+	} {
+		for i := int64(0); i < 4; i++ {
+			seed := oracle.DeriveSeed(kind.stream, i)
+			sys, err := oracle.Generate(seed, kind.gen).System()
+			if err != nil {
+				b.Fatal(err)
 			}
-			sc.cfgs = append(sc.cfgs, sim.Config{Duration: 12_000, Offsets: offs, InjectJitter: jitter, JitterSeed: seed})
-			sc.targets = append(sc.targets, target)
+			n := sys.NumFlows()
+			jitter := false
+			for f := 0; f < n; f++ {
+				jitter = jitter || sys.Flow(f).Jitter > 0
+			}
+			rng := rand.New(rand.NewSource(seed))
+			sc := probeScenario{name: fmt.Sprintf("%s%d", kind.name, i), sys: sys}
+			for p := 0; p < 64; p++ {
+				target := p % n
+				offs := make([]noc.Cycles, n)
+				for f := range offs {
+					if f != target {
+						offs[f] = noc.Cycles(rng.Int63n(int64(sys.Flow(f).Period)))
+					}
+				}
+				sc.cfgs = append(sc.cfgs, sim.Config{Duration: kind.duration, Offsets: offs, InjectJitter: jitter, JitterSeed: seed})
+				sc.targets = append(sc.targets, target)
+			}
+			out = append(out, sc)
 		}
-		out = append(out, sc)
 	}
 	return out
 }
@@ -195,7 +219,8 @@ func BenchmarkSearchProbeFull(b *testing.B) { benchProbes(b, false) }
 
 // BenchmarkSearchProbeScoped measures the same probes target-scoped, as
 // SearchWorstCase runs them: each ends once its target can no longer
-// complete a packet inside the horizon.
+// complete a packet inside the horizon, or, jitter-free, once the
+// network drains at a phase of the hyperperiod it drained at before.
 func BenchmarkSearchProbeScoped(b *testing.B) { benchProbes(b, true) }
 
 // TestSearchProbeBenchAgree anchors the search-probe pair: on every

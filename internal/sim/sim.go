@@ -69,10 +69,12 @@ type Config struct {
 
 	// stopFlow is 0 for a full-horizon run, or f+1 to make the run
 	// target-scoped for flow f: it ends as soon as f can no longer
-	// complete a packet inside the horizon (Engine.targetDone). Flow f's Result row is exactly the
-	// full run's; the other rows and InFlight are partial. Only
-	// SearchWorstCase sets it, for probes that read nothing but the
-	// target's worst latency.
+	// complete a packet inside the horizon (Engine.targetDone), or, when
+	// the run is jitter-free, uncapped, untraced and unrecorded, once it
+	// provably repeats (the recurrence cut, DESIGN.md §10). Flow f's
+	// Result row is exactly the full run's; the other rows and InFlight
+	// are partial. Only SearchWorstCase sets it, for probes that read
+	// nothing but the target's worst latency.
 	stopFlow int
 	// busyPeriod ends the run at the top of the cycle after the network
 	// first drains: after the first release, every released packet has
@@ -100,6 +102,9 @@ type Stats struct {
 	// early and Duration when it did not. Zero for runs that never stop
 	// early (Run, Engine.Run).
 	StoppedAt noc.Cycles
+	// recurrence is the period L of the recurrence a target-scoped run
+	// was cut at (DESIGN.md §10), or 0 when it was not.
+	recurrence noc.Cycles
 }
 
 // Result holds the outcome of a run.

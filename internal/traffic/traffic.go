@@ -187,6 +187,21 @@ func (s *System) HigherPriority(i, j int) bool {
 	return s.flows[i].Priority < s.flows[j].Priority
 }
 
+// Hyperperiod returns lcm(Ti) over the flow set: the joint release
+// pattern of any phasing repeats with this period. A hyperperiod that
+// does not fit in int64 saturates at noc.MaxCycles.
+func (s *System) Hyperperiod() noc.Cycles {
+	h := noc.Cycles(1)
+	for _, f := range s.flows {
+		g, b := h, f.Period
+		for b != 0 {
+			g, b = b, g%b
+		}
+		h = noc.SatMul(h/g, f.Period)
+	}
+	return h
+}
+
 // Utilisation returns the total link-time demand of the flow set as a
 // fraction of the aggregate mesh-link capacity: Σ (Ci/Ti · |routei|) over
 // the number of links. It is a coarse load indicator used by the

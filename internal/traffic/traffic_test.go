@@ -223,3 +223,30 @@ func TestLinkLoads(t *testing.T) {
 		t.Errorf("idle link load = %f", got)
 	}
 }
+
+func TestHyperperiod(t *testing.T) {
+	topo := testTopo(t)
+	flows := func(periods ...noc.Cycles) *System {
+		fs := make([]Flow, len(periods))
+		for i, p := range periods {
+			fs[i] = Flow{Name: string(rune('a' + i)), Priority: i + 1, Period: p, Deadline: p, Length: 1, Src: 0, Dst: 1}
+		}
+		return MustSystem(topo, fs)
+	}
+	for _, c := range []struct {
+		periods []noc.Cycles
+		want    noc.Cycles
+	}{
+		{[]noc.Cycles{6}, 6},
+		{[]noc.Cycles{6, 10}, 30},
+		{[]noc.Cycles{12, 18, 8}, 72},
+		{[]noc.Cycles{7, 7, 7}, 7},
+		// lcm(2^62, 3) overflows int64 and saturates, and stays
+		// saturated through later periods.
+		{[]noc.Cycles{1 << 62, 3, 7}, noc.MaxCycles},
+	} {
+		if got := flows(c.periods...).Hyperperiod(); got != c.want {
+			t.Errorf("Hyperperiod of periods %v = %d, want %d", c.periods, got, c.want)
+		}
+	}
+}
