@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -506,10 +507,10 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 
 // checkEngineAgreement replays target's worst phasing through the
 // retained reference engine, a fresh event-driven run and the reused
-// engine, and reports a Divergent violation per flow whose observed
-// worst latency differs (plus one if the aggregate counters disagree),
-// and one if the full-horizon replay does not reproduce searchWorst,
-// the worst latency the search's target-scoped probes reported.
+// engine, and reports the engines' disagreements (engineDivergences)
+// and a violation if the full-horizon replay does not reproduce
+// searchWorst, the worst latency the search's target-scoped probes
+// reported.
 func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, searchWorst noc.Cycles, runCfg sim.Config) []Violation {
 	ref, err := sim.RunReference(sys, runCfg)
 	if err != nil {
@@ -534,6 +535,19 @@ func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, s
 		v.Invariant = "search-replay-agrees"
 		out = append(out, v)
 	}
+	out = append(out, engineDivergences(target, ref, fresh, warm)...)
+	for i := range out {
+		out[i].Offsets = append([]noc.Cycles(nil), runCfg.Offsets...)
+	}
+	return out
+}
+
+// engineDivergences compares the fresh and reused event-driven replays
+// of target's worst phasing with the reference's: a Divergent violation
+// per flow whose observed worst latency differs, and one per engine
+// whose Result differs in any other field.
+func engineDivergences(target int, ref, fresh, warm *sim.Result) []Violation {
+	var out []Violation
 	for i := range ref.WorstLatency {
 		if fresh.WorstLatency[i] != ref.WorstLatency[i] {
 			out = append(out, divergence(i, ref.WorstLatency[i], fresh.WorstLatency[i],
@@ -544,23 +558,33 @@ func checkEngineAgreement(sys *traffic.System, reused *sim.Engine, target int, s
 				fmt.Sprintf("reused engine observed %d, reference %d (replaying flow %d's worst phasing)",
 					warm.WorstLatency[i], ref.WorstLatency[i], target)))
 		}
-		if fresh.Completed[i] != ref.Completed[i] || fresh.Released[i] != ref.Released[i] ||
-			warm.Completed[i] != ref.Completed[i] || warm.Released[i] != ref.Released[i] {
-			out = append(out, divergence(i, noc.Cycles(ref.Completed[i]), noc.Cycles(fresh.Completed[i]),
-				fmt.Sprintf("completion/release counters diverge: reference %d/%d, fresh %d/%d, reused %d/%d",
-					ref.Completed[i], ref.Released[i], fresh.Completed[i], fresh.Released[i],
-					warm.Completed[i], warm.Released[i])))
+	}
+	for _, r := range []struct {
+		engine string
+		res    *sim.Result
+	}{{"event-driven", fresh}, {"reused", warm}} {
+		if field := resultDiff(ref, r.res); field != "" && field != "WorstLatency" {
+			out = append(out, divergence(target, -1, -1,
+				fmt.Sprintf("%s engine's Result differs from the reference's in %s (replaying flow %d's worst phasing)",
+					r.engine, field, target)))
 		}
 	}
-	if fresh.InFlight != ref.InFlight || warm.InFlight != ref.InFlight {
-		out = append(out, divergence(target, noc.Cycles(ref.InFlight), noc.Cycles(fresh.InFlight),
-			fmt.Sprintf("in-flight totals diverge: reference %d, fresh %d, reused %d",
-				ref.InFlight, fresh.InFlight, warm.InFlight)))
-	}
-	for i := range out {
-		out[i].Offsets = append([]noc.Cycles(nil), runCfg.Offsets...)
-	}
 	return out
+}
+
+// resultDiff names the first Result field in which got differs from
+// ref, or returns "" when they agree in all of them. Stats is skipped:
+// it counts how a run was computed (fast-path batches), not what it
+// observed.
+func resultDiff(ref, got *sim.Result) string {
+	a, b := reflect.ValueOf(ref).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < a.NumField(); i++ {
+		name := a.Type().Field(i).Name
+		if name != "Stats" && !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+			return name
+		}
+	}
+	return ""
 }
 
 func divergence(flow int, bound, observed noc.Cycles, detail string) Violation {

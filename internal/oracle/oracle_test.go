@@ -3,10 +3,12 @@ package oracle
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wormnoc/internal/core"
 	"wormnoc/internal/noc"
+	"wormnoc/internal/sim"
 	"wormnoc/internal/traffic"
 )
 
@@ -210,5 +212,47 @@ func TestDivergentClassRoundTrip(t *testing.T) {
 	}
 	if Divergent >= KnownOptimism || IncrementalDivergent >= KnownOptimism {
 		t.Error("engine-divergence classes must sort before KnownOptimism so they are treated as violations, not findings")
+	}
+}
+
+// TestEngineDivergencesCompareWholeResults holds the replay comparison
+// to every Result field: a replay that differs from the reference only
+// in a buffer's occupancy high-water mark — a field the fast path
+// computes in closed form — is a sim-engines-agree violation, while one
+// that differs only in Stats is not.
+func TestEngineDivergencesCompareWholeResults(t *testing.T) {
+	sys, err := Generate(3, GenConfig{}).System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Duration: 4_000}
+	ref, err := sim.RunReference(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *sim.Result {
+		r := *ref
+		r.MaxOccupancy = make([][]int, len(ref.MaxOccupancy))
+		for i := range r.MaxOccupancy {
+			r.MaxOccupancy[i] = append([]int(nil), ref.MaxOccupancy[i]...)
+		}
+		return &r
+	}
+	if v := engineDivergences(0, ref, clone(), clone()); len(v) != 0 {
+		t.Fatalf("identical Results reported as divergent: %v", v)
+	}
+	stats := clone()
+	stats.Stats.FastPathBatches = 7
+	if v := engineDivergences(0, ref, stats, clone()); len(v) != 0 {
+		t.Fatalf("a Stats-only difference reported as divergent: %v", v)
+	}
+	occ := clone()
+	occ.MaxOccupancy[1][0]++
+	v := engineDivergences(0, ref, clone(), occ)
+	if len(v) != 1 || v[0].Invariant != "sim-engines-agree" || v[0].Class != Divergent {
+		t.Fatalf("a MaxOccupancy-only difference gave %v, want one sim-engines-agree violation", v)
+	}
+	if !strings.Contains(v[0].Detail, "MaxOccupancy") || !strings.Contains(v[0].Detail, "reused") {
+		t.Errorf("violation detail %q does not name the reused engine and MaxOccupancy", v[0].Detail)
 	}
 }

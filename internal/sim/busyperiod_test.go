@@ -18,13 +18,14 @@ import (
 // must stop at the top of the cycle after the network first drained,
 // its Result must equal the reference engine's at Duration StoppedAt,
 // and most
-// runs must stop early, so the comparison is not vacuous. Jitter
-// injection is rejected.
+// runs must stop early, so the comparison is not vacuous. The engine's
+// runtime invariants are checked throughout. Jitter injection is
+// rejected.
 func TestBusyPeriodMatchesReference(t *testing.T) {
 	runs, stopped := 0, 0
 	check := func(label string, eng *sim.Engine, sys *traffic.System, cfg sim.Config) {
 		t.Helper()
-		got, err := eng.RunBusyPeriod(cfg)
+		got, err := eng.RunBusyPeriod(sim.Checked(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -54,8 +54,9 @@ func mustEqualResults(t *testing.T, label string, ref, got *sim.Result) {
 // and deep buffers — through the retained reference engine and the
 // event-driven Engine, asserting bit-identical Results: per-packet
 // latencies, occupancies, completion/release/deadline counters and
-// in-flight totals. This is the safety net that lets the event-driven
-// engine be the default.
+// in-flight totals — with the engine's runtime invariants checked after
+// every cycle and batch. This is the safety net that lets the
+// event-driven engine be the default.
 func TestDifferentialEngines(t *testing.T) {
 	const scenarios = 220
 	for i := 0; i < scenarios; i++ {
@@ -74,7 +75,7 @@ func TestDifferentialEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("scenario %d cfg %d: reference: %v", i, ci, err)
 			}
-			got, err := sim.Run(sys, cfg)
+			got, err := sim.Run(sys, sim.Checked(cfg))
 			if err != nil {
 				t.Fatalf("scenario %d cfg %d: event-driven: %v", i, ci, err)
 			}
@@ -104,7 +105,7 @@ func TestDifferentialTraceStreams(t *testing.T) {
 		if _, err := sim.RunReference(sys, refCfg); err != nil {
 			t.Fatalf("scenario %d: reference: %v", i, err)
 		}
-		newCfg := cfg
+		newCfg := sim.Checked(cfg)
 		newCfg.TraceWriter = &newTrace
 		if _, err := sim.Run(sys, newCfg); err != nil {
 			t.Fatalf("scenario %d: event-driven: %v", i, err)
@@ -179,7 +180,8 @@ func proofHorizon(sys *traffic.System) noc.Cycles {
 // tinyGen scenarios with random offsets, each run at 2 000 cycles and
 // at the proof horizon. The reference, a fresh engine and one engine
 // reused across all of a scenario's runs must return DeepEqual Results
-// (the two event-driven ones including Stats); on every fourth scenario
+// (the two event-driven ones including Stats), with the runtime
+// invariants checked; on every fourth scenario
 // the reference and reused engines' trace streams must also match byte
 // for byte, since the engine's link-ordered dirty-set scan carries the
 // reference's ascending-link arbitration order.
@@ -202,11 +204,11 @@ func TestDifferentialTiny(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", label, err)
 			}
-			fresh, err := sim.Run(sys, cfg)
+			fresh, err := sim.Run(sys, sim.Checked(cfg))
 			if err != nil {
 				t.Fatalf("%s: fresh: %v", label, err)
 			}
-			reused, err := eng.Run(cfg)
+			reused, err := eng.Run(sim.Checked(cfg))
 			if err != nil {
 				t.Fatalf("%s: reused: %v", label, err)
 			}
@@ -337,11 +339,13 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 // adversarial regime the locked-arbitration fast path (DESIGN.md §13)
 // lives in: every flow released at cycle 0, so contention domains stay
 // busy for long stretches and the engine batches multi-cycle transfer
-// windows. Oracle scenarios (spanning linkl/routl/buf, where the fast
-// path partially or never engages) and shallow-buffer synthetic meshes
-// (where it dominates) must stay bit-identical to the reference.
+// windows. Oracle scenarios (spanning linkl/routl/buf) and shallow-buffer
+// synthetic meshes of every (linkl, routl) class must stay bit-identical
+// to the reference with the runtime invariants checked, and the fast
+// path must engage in every class, so no class passes without
+// exercising it.
 func TestDifferentialSaturated(t *testing.T) {
-	batches := 0
+	batches := map[platformClass]int{}
 	for i := 0; i < 40; i++ {
 		seed := oracle.DeriveSeed(0x5A70, int64(i))
 		sc := oracle.Generate(seed, oracle.GenConfig{})
@@ -354,79 +358,84 @@ func TestDifferentialSaturated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scenario %d: reference: %v", i, err)
 		}
-		got, err := sim.Run(sys, cfg)
+		got, err := sim.Run(sys, sim.Checked(cfg))
 		if err != nil {
 			t.Fatalf("scenario %d: event-driven: %v", i, err)
 		}
 		mustEqualResults(t, fmt.Sprintf("saturated oracle scenario %d (%s)", i, sc), ref, got)
-		batches += got.Stats.FastPathBatches
+		batches[classOf(sys)] += got.Stats.FastPathBatches
 	}
-	for _, buf := range []int{2, 3, 4, 8} {
-		topo := noc.MustMesh(4, 4, noc.RouterConfig{BufDepth: buf, LinkLatency: 1})
-		sys, err := workload.Synthetic(topo, workload.SynthConfig{NumFlows: 32, Seed: 21})
-		if err != nil {
-			t.Fatal(err)
+	for _, pc := range platformClasses {
+		for _, buf := range []int{2, 3, 4, 8} {
+			sys := synthMesh(t, pc.router(buf), workload.SynthConfig{NumFlows: 32, Seed: 21})
+			cfg := sim.Config{Duration: 20_000}
+			ref, err := sim.RunReference(sys, cfg)
+			if err != nil {
+				t.Fatalf("%s buf=%d: reference: %v", pc, buf, err)
+			}
+			got, err := sim.Run(sys, sim.Checked(cfg))
+			if err != nil {
+				t.Fatalf("%s buf=%d: event-driven: %v", pc, buf, err)
+			}
+			mustEqualResults(t, fmt.Sprintf("saturated mesh %s buf=%d", pc, buf), ref, got)
+			batches[pc] += got.Stats.FastPathBatches
 		}
-		cfg := sim.Config{Duration: 20_000}
-		ref, err := sim.RunReference(sys, cfg)
-		if err != nil {
-			t.Fatalf("buf=%d: reference: %v", buf, err)
-		}
-		got, err := sim.Run(sys, cfg)
-		if err != nil {
-			t.Fatalf("buf=%d: event-driven: %v", buf, err)
-		}
-		mustEqualResults(t, fmt.Sprintf("saturated mesh buf=%d", buf), ref, got)
-		batches += got.Stats.FastPathBatches
 	}
-	if batches == 0 {
-		t.Error("fast path never engaged across the saturated corpus; the batching differential is vacuous")
+	for _, pc := range platformClasses {
+		if batches[pc] == 0 {
+			t.Errorf("fast path never engaged on %s across the saturated corpus; its differential is vacuous", pc)
+		}
 	}
 }
 
-// TestFastPathEngages asserts the locked-arbitration fast path actually
-// fires on the saturated benchmark scenario — so the bit-identity
+// TestFastPathEngages asserts, for every (linkl, routl) class, that the
+// locked-arbitration fast path actually fires on a saturated 4×4 mesh
+// and covers a good share of its cycles — so the bit-identity
 // guarantees above are exercised, not vacuous — and that tracing
 // disables it (per-cycle trace interleaving cannot be reproduced from a
 // batch) while still producing a byte-identical trace stream.
 func TestFastPathEngages(t *testing.T) {
-	sys := synth4x4(t, workload.SynthConfig{NumFlows: 32, Seed: 9})
-	cfg := sim.Config{Duration: 50_000}
-	ref, err := sim.RunReference(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sim.Run(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "saturated bench scenario", ref, got)
-	if got.Stats.FastPathBatches == 0 {
-		t.Fatal("fast path did not engage on the saturated scenario")
-	}
-	if got.Stats.FastPathCycles < cfg.Duration/10 {
-		t.Errorf("fast path covered only %d of %d cycles; expected a dominant share under saturation",
-			got.Stats.FastPathCycles, cfg.Duration)
-	}
-	if ref.Stats != (sim.Stats{}) {
-		t.Errorf("reference engine reported nonzero Stats: %+v", ref.Stats)
-	}
+	for _, pc := range platformClasses {
+		t.Run(pc.String(), func(t *testing.T) {
+			sys := synthMesh(t, pc.router(4), workload.SynthConfig{NumFlows: 32, Seed: 9})
+			cfg := sim.Config{Duration: 50_000}
+			ref, err := sim.RunReference(sys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.Run(sys, sim.Checked(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualResults(t, "saturated scenario", ref, got)
+			if got.Stats.FastPathBatches == 0 {
+				t.Fatal("fast path did not engage on the saturated scenario")
+			}
+			if got.Stats.FastPathCycles < cfg.Duration/10 {
+				t.Errorf("fast path covered only %d of %d cycles; expected a dominant share under saturation",
+					got.Stats.FastPathCycles, cfg.Duration)
+			}
+			if ref.Stats != (sim.Stats{}) {
+				t.Errorf("reference engine reported nonzero Stats: %+v", ref.Stats)
+			}
 
-	var refTrace, newTrace bytes.Buffer
-	refCfg, newCfg := cfg, cfg
-	refCfg.TraceWriter = &refTrace
-	newCfg.TraceWriter = &newTrace
-	if _, err := sim.RunReference(sys, refCfg); err != nil {
-		t.Fatal(err)
-	}
-	traced, err := sim.Run(sys, newCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Stats.FastPathBatches != 0 {
-		t.Errorf("fast path engaged on a traced run (%d batches); tracing must disable it", traced.Stats.FastPathBatches)
-	}
-	if refTrace.Len() == 0 || !bytes.Equal(refTrace.Bytes(), newTrace.Bytes()) {
-		t.Errorf("traced saturated run diverged from reference (%d vs %d bytes)", refTrace.Len(), newTrace.Len())
+			var refTrace, newTrace bytes.Buffer
+			refCfg, newCfg := cfg, cfg
+			refCfg.TraceWriter = &refTrace
+			newCfg.TraceWriter = &newTrace
+			if _, err := sim.RunReference(sys, refCfg); err != nil {
+				t.Fatal(err)
+			}
+			traced, err := sim.Run(sys, newCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced.Stats.FastPathBatches != 0 {
+				t.Errorf("fast path engaged on a traced run (%d batches); tracing must disable it", traced.Stats.FastPathBatches)
+			}
+			if refTrace.Len() == 0 || !bytes.Equal(refTrace.Bytes(), newTrace.Bytes()) {
+				t.Errorf("traced saturated run diverged from reference (%d vs %d bytes)", refTrace.Len(), newTrace.Len())
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"wormnoc/internal/noc"
@@ -73,7 +74,8 @@ func (f *vcFIFO) len() int { return len(f.flits) - f.head }
 
 func (f *vcFIFO) occupancy() int { return f.len() + f.inflight }
 
-func (f *vcFIFO) push(fl flit) {
+// compact reclaims the dead prefix before an append.
+func (f *vcFIFO) compact() {
 	if f.head > 0 && f.head == len(f.flits) {
 		f.flits = f.flits[:0]
 		f.head = 0
@@ -82,7 +84,20 @@ func (f *vcFIFO) push(fl flit) {
 		f.flits = f.flits[:n]
 		f.head = 0
 	}
+}
+
+func (f *vcFIFO) push(fl flit) {
+	f.compact()
 	f.flits = append(f.flits, fl)
+}
+
+// extend appends n flits to the buffer and returns them for the caller
+// to fill: the bulk form of push.
+func (f *vcFIFO) extend(n int) []flit {
+	f.compact()
+	k := len(f.flits)
+	f.flits = slices.Grow(f.flits, n)[:k+n]
+	return f.flits[k:]
 }
 
 func (f *vcFIFO) peek() *flit { return &f.flits[f.head] }
@@ -230,6 +245,9 @@ type Engine struct {
 
 	// arrivals is a FIFO of in-transit flits; since every transfer takes
 	// exactly linkl cycles, arrivals complete in submission order.
+	// arrivals[arrivalHead:] are in flight; the flits delivered in the
+	// current cycle stay just below arrivalHead until the next cycle
+	// starts, for the lock pre-filter.
 	arrivals    []arrival
 	arrivalHead int
 
@@ -254,19 +272,19 @@ type Engine struct {
 
 	transfers []cand
 
-	// Locked-arbitration fast-path state (DESIGN.md §13). fastOK is the
-	// platform gate: the batch analysis is only valid when every link
-	// transfer takes one cycle and headers route instantly, so flits are
-	// ready on arrival and the wakeup heap stays empty. prevTransfers is
-	// last executed cycle's transfer set (the stability pre-filter),
-	// swapped with transfers at the end of each executed cycle;
-	// winnerOf maps a link to its index in transfers during an analysis
-	// (-1 outside); batchOrder and lastFlits are bulk-apply scratch.
-	fastOK        bool
-	prevTransfers []cand
-	winnerOf      []int32
-	batchOrder    []int32
-	lastFlits     []flit
+	// Locked-arbitration fast-path state (DESIGN.md §13), used by runs
+	// without a trace writer. streak counts the consecutive cycles, up to
+	// the last executed one, whose transfer set equalled the set linkl
+	// cycles earlier (the lock pre-filter). win is the window of
+	// in-flight winners during an analysis — the live arrival ring, one
+	// flit per winner in transfer order — and winnerOf maps a link to its
+	// index in win (-1 outside an analysis); batchOrder and lastFlits
+	// are bulk-apply scratch.
+	streak     noc.Cycles
+	win        []arrival
+	winnerOf   []int32
+	batchOrder []int32
+	lastFlits  []flit
 
 	// Packet slab: pkts holds every packet slot of this run, freePkts
 	// the slab indices of completed packets, reused first. reset
@@ -341,7 +359,6 @@ func NewEngine(sys *traffic.System) *Engine {
 		dirty:       make([]uint64, words),
 		arbSet:      make([]uint64, words),
 		linkWakeAt:  make([]noc.Cycles, topo.NumLinks()),
-		fastOK:      rc.LinkLatency == 1 && rc.RouteLatency == 0,
 		hyper:       sys.Hyperperiod(),
 		winnerOf:    make([]int32, topo.NumLinks()),
 		res: &Result{
@@ -465,7 +482,7 @@ func (e *Engine) reset(cfg Config) {
 	e.relHeap = e.relHeap[:0]
 	e.wakeHeap = e.wakeHeap[:0]
 	e.transfers = e.transfers[:0]
-	e.prevTransfers = e.prevTransfers[:0]
+	e.streak = 0
 	e.res.Stats = Stats{}
 	e.pkts = e.pkts[:0]
 	e.freePkts = e.freePkts[:0]
@@ -589,11 +606,9 @@ func (e *Engine) run() {
 		// 1. Deliver flits whose link traversal completes at t. Each
 		// delivery marks the link the landing FIFO feeds as dirty, and
 		// on multi-cycle links the link it crossed, now no longer busy.
-		for e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at <= t {
-			a := e.arrivals[e.arrivalHead]
-			e.arrivalHead++
-			e.deliver(a)
-		}
+		// The ring drops the flits delivered before t first, so this
+		// cycle's landings, arrivals[landed:arrivalHead], stay readable
+		// until the lock pre-filter has compared them.
 		if e.arrivalHead == len(e.arrivals) && e.arrivalHead > 0 {
 			e.arrivals = e.arrivals[:0]
 			e.arrivalHead = 0
@@ -601,6 +616,12 @@ func (e *Engine) run() {
 			n := copy(e.arrivals, e.arrivals[e.arrivalHead:])
 			e.arrivals = e.arrivals[:n]
 			e.arrivalHead = 0
+		}
+		landed := e.arrivalHead
+		for e.arrivalHead < len(e.arrivals) && e.arrivals[e.arrivalHead].at <= t {
+			a := e.arrivals[e.arrivalHead]
+			e.arrivalHead++
+			e.deliver(a)
 		}
 		// 2. Timed link wakeups: headers whose routing delay elapses
 		// at t.
@@ -633,6 +654,14 @@ func (e *Engine) run() {
 			}
 			if len(e.relHeap) > 0 && e.relHeap[0].at < next {
 				next = e.relHeap[0].at
+			}
+			// Cycles t..next−1 transfer nothing; each matches the set
+			// linkl cycles earlier when nothing landed in it, and only t
+			// can have had landings.
+			if e.arrivalHead != landed {
+				e.streak = 0
+			} else {
+				e.streak += max(next-t, 1)
 			}
 			if next > t+1 {
 				t = next - 1 // loop increment lands on the event
@@ -688,15 +717,22 @@ func (e *Engine) run() {
 		for _, c := range e.transfers {
 			e.transfer(c, t)
 		}
-		// 7. Locked-arbitration fast path: if this cycle's transfer set
-		// repeated the previous cycle's and provably repeats for m more
-		// cycles (no release due, every winner keeps flits and credits,
-		// every blocked contender stays blocked), apply those m cycles
-		// in one bulk step and jump t forward (DESIGN.md §13).
-		if e.fastOK && e.cfg.TraceWriter == nil && len(e.transfers) > 0 && !e.stop {
-			t += e.tryLockBatch(t)
+		if e.cfg.checkInvariants {
+			e.checkInvariants(t)
 		}
-		e.prevTransfers, e.transfers = e.transfers, e.prevTransfers
+		// 7. Locked-arbitration fast path: if the transfers of the last
+		// linkl cycles repeated those of the linkl cycles before and
+		// provably repeat for m more rounds of linkl cycles (no release
+		// or wake due, every winner keeps flits and credits, every
+		// blocked contender stays blocked), apply those rounds in one
+		// bulk step and jump t forward (DESIGN.md §13). The flits that
+		// landed at t are the transfer set of t−linkl.
+		if e.cfg.TraceWriter == nil {
+			e.trackLock(e.arrivals[landed:e.arrivalHead])
+			if e.streak >= e.linkl && len(e.transfers) > 0 && !e.stop {
+				t += e.tryLockBatch(t)
+			}
+		}
 	}
 	if e.cfg.stopFlow > 0 || e.cfg.busyPeriod {
 		e.res.Stats.StoppedAt = t
@@ -714,8 +750,6 @@ func (e *Engine) markDirty(l int) {
 		e.nDirty++
 	}
 }
-
-func (e *Engine) isDirty(l int) bool { return e.dirty[l>>6]&(1<<(l&63)) != 0 }
 
 // processReleases runs flow i's source: periodic ticks due at t (with
 // jitter sampling), then jittered releases that became due, then
@@ -836,9 +870,8 @@ func (e *Engine) transfer(c cand, t noc.Cycles) {
 	e.busyUntil[l] = t + e.linkl
 	if e.linkl == 1 {
 		// The busy period ends at t+1: re-arm now, so the dirty set left
-		// by this cycle names the link (the fast path relies on it).
-		// Longer busy periods end with the flit's delivery, which marks
-		// the link then.
+		// by this cycle names the link. Longer busy periods end with the
+		// flit's delivery, which marks the link then.
 		e.markDirty(int(l))
 	}
 	e.arrivals = append(e.arrivals, arrival{at: t + e.linkl, flow: c.flow, hop: c.hop, fl: fl})
@@ -918,225 +951,267 @@ func (e *Engine) completePacket(flow int, p int32, at noc.Cycles) {
 	}
 }
 
-// isWinner reports whether (flow, hop) is in the current transfer set.
-// Valid only while winnerOf is populated (inside tryLockBatch).
-func (e *Engine) isWinner(flow, hop int32) bool {
+// trackLock advances the lock pre-filter past an executed cycle: streak
+// grows when the cycle's transfer set equals landed, the flits that
+// landed in it, which are the transfer set of linkl cycles earlier
+// (every transfer takes linkl cycles), and restarts otherwise.
+func (e *Engine) trackLock(landed []arrival) {
+	if len(landed) != len(e.transfers) {
+		e.streak = 0
+		return
+	}
+	for k, c := range e.transfers {
+		if landed[k].flow != c.flow || landed[k].hop != c.hop {
+			e.streak = 0
+			return
+		}
+	}
+	e.streak++
+}
+
+// winnerIdx returns the index in win of (flow, hop), or -1 when it is
+// not a window winner. Valid only while winnerOf is populated (inside
+// tryLockBatch).
+func (e *Engine) winnerIdx(flow, hop int32) int32 {
 	wk := e.winnerOf[e.routes[flow][hop]]
-	return wk >= 0 && e.transfers[wk] == cand{flow, hop}
+	if wk >= 0 && e.win[wk].flow == flow && e.win[wk].hop == hop {
+		return wk
+	}
+	return -1
 }
 
 // tryLockBatch is the locked-arbitration fast path (DESIGN.md §13).
-// Called after phase 6 of an executed cycle t whose transfer set T
-// equals the previous cycle's, it computes the largest m such that
-// cycles t+1..t+m provably transfer exactly T again — every winner keeps
-// a flit to send, a credit to send it into, and its priority; every
-// other contender of every link that will be (re-)arbitrated stays
-// ineligible; and no source event falls inside the window — then applies
-// all m cycles in one bulk step and returns m (0 when no profitable
-// batch exists). Requires the fastOK platform (linkl=1, routl=0) and no
-// trace writer; under that gate the wake heap is empty and the arrival
-// ring holds exactly T's flits, in transfer order.
+// Called after phase 6 of an executed cycle t with transfers once the
+// transfers of the window (t−linkl, t] repeated those of the linkl
+// cycles before, it computes the largest m such that the next m rounds
+// of linkl cycles provably repeat the window — every winner keeps a flit
+// to send, a credit to send it into, and its priority; every other
+// contender of every link that will be (re-)arbitrated stays
+// ineligible; and no release or wake falls inside — then applies those
+// m·linkl cycles in one bulk step and returns their number (0 when no
+// batch of at least 2 cycles exists). The window's winners are exactly
+// the flits in flight: a link carries one flit per linkl cycles, so the
+// arrival ring holds one per winner, in transfer order, each landing
+// linkl cycles after its window transfer.
 func (e *Engine) tryLockBatch(t noc.Cycles) noc.Cycles {
-	T := e.transfers
-	if len(T) != len(e.prevTransfers) {
-		return 0
-	}
-	for k, c := range T {
-		if e.prevTransfers[k] != c {
-			return 0
-		}
-	}
-	// Global bounds: stay inside the horizon, and stop short of the next
-	// source event (a release changes some link's contender set).
-	m := e.cfg.Duration - 1 - t
+	L := e.linkl
+	// end is the last cycle the batch may cover: inside the horizon and
+	// short of the next source event (a release changes some link's
+	// contender set) and of the next header wake.
+	end := e.cfg.Duration - 1
 	if len(e.relHeap) > 0 {
-		if b := e.relHeap[0].at - t - 1; b < m {
-			m = b
-		}
+		end = min(end, e.relHeap[0].at-1)
 	}
 	if len(e.wakeHeap) > 0 {
-		if b := e.wakeHeap[0].at - t - 1; b < m {
-			m = b
-		}
+		end = min(end, e.wakeHeap[0].at-1)
 	}
-	if m < 2 {
+	// A batch covers at least 2 cycles: one round of a one-cycle link is
+	// just the normal path with extra bookkeeping.
+	minEnd := t + max(L, 2)
+	if end < minEnd {
 		return 0
 	}
-	for k, c := range T {
-		e.winnerOf[e.routes[c.flow][c.hop]] = int32(k)
+	win := e.arrivals[e.arrivalHead:]
+	e.win = win
+	for k, a := range win {
+		e.winnerOf[e.routes[a.flow][a.hop]] = int32(k)
 	}
-	// The links arbitrated during the batch are exactly the currently
-	// dirty ones (T's upstream credit returns and own re-arms) plus T's
-	// delivery targets: deliveries, pops and re-arms during a T-only
-	// cycle dirty no other link, and no releases fall inside the window.
-scan:
-	for w, word := range e.dirty {
-		for ; word != 0; word &= word - 1 {
-			if m = e.analyzeLink(w<<6|bits.TrailingZeros64(word), m); m < 2 {
-				break scan
+	// The winners' own bounds first: they end about half the attempts,
+	// and cost less than the contender scan.
+	for k := range win {
+		if end = min(end, e.winnerEnd(k)); end < minEnd {
+			break
+		}
+	}
+	if end >= minEnd {
+		// The analysis set: the links the per-cycle path would arbitrate
+		// during the batch. They are the dirty ones (arbitrated at t+1)
+		// and, per winner, its own link, the upstream link its pops re-arm
+		// and the downstream link its deliveries re-arm; a batch cycle
+		// changes no other link's inputs. arbSet, all-zero outside
+		// arbitration, holds the set and is cleared as it is scanned.
+		A := e.arbSet
+		copy(A, e.dirty)
+		for _, a := range win {
+			route := e.routes[a.flow]
+			l := int(route[a.hop])
+			A[l>>6] |= 1 << (l & 63)
+			if a.hop > 0 {
+				l = int(route[a.hop-1])
+				A[l>>6] |= 1 << (l & 63)
+			}
+			if int(a.hop)+1 < route.Len() {
+				l = int(route[a.hop+1])
+				A[l>>6] |= 1 << (l & 63)
+			}
+		}
+		for w, word := range A {
+			if word == 0 {
+				continue
+			}
+			A[w] = 0
+			for ; word != 0 && end >= minEnd; word &= word - 1 {
+				end = e.analyzeLink(w<<6|bits.TrailingZeros64(word), t, end)
 			}
 		}
 	}
-	if m >= 2 {
-		for _, c := range T {
-			route := e.routes[c.flow]
-			if int(c.hop)+1 < route.Len() {
-				if l := int(route[c.hop+1]); !e.isDirty(l) {
-					if m = e.analyzeLink(l, m); m < 2 {
-						break
-					}
-				}
-			}
-		}
-	}
-	if m >= 2 {
+	m := (end - t) / L
+	if end >= minEnd {
 		e.bulkApply(m, t) // needs winnerOf populated
 	}
-	for _, c := range T {
-		e.winnerOf[e.routes[c.flow][c.hop]] = -1
+	for _, a := range win {
+		e.winnerOf[e.routes[a.flow][a.hop]] = -1
 	}
-	if m < 2 {
+	e.win = nil
+	if end < minEnd {
 		return 0
 	}
 	e.res.Stats.FastPathBatches++
-	e.res.Stats.FastPathCycles += m
-	return m
+	e.res.Stats.FastPathCycles += m * L
+	if e.cfg.checkInvariants {
+		e.checkInvariants(t + m*L)
+	}
+	return m * L
 }
 
-// analyzeLink bounds how many cycles after t link l keeps repeating its
-// cycle-t arbitration outcome, capped at m. For a link whose winner is
-// in T the bound is the winner's continuation bound (lower-priority
-// contenders are never examined while the winner stays eligible); for a
-// winnerless link every contender must stay ineligible.
-func (e *Engine) analyzeLink(l int, m noc.Cycles) noc.Cycles {
+// analyzeLink lowers end, the last cycle of the batch, to the last cycle
+// through which link l provably repeats its window outcome. The
+// contenders examined before a window winner, which has bounded end
+// already (lower-priority ones are never examined while it stays
+// eligible), and every contender of a winnerless link must stay
+// ineligible; on a winnerless link none may
+// hold a header still routing after t+1, whose wake the link's batch
+// arbitrations would schedule: the batch is dropped, so no batch ever
+// touches the wake heap. (Such a header's pending wake bounds the batch
+// short of its readiness anyway, and below two cycles unless routl
+// exceeds 3.)
+func (e *Engine) analyzeLink(l int, t, end noc.Cycles) noc.Cycles {
+	wk := e.winnerOf[l]
 	for _, c := range e.onLink[l] {
-		wk := e.winnerOf[e.routes[c.flow][c.hop]]
-		if wk >= 0 && e.transfers[wk] == c {
-			if b := e.winnerBound(c); b < m {
-				m = b
+		if wk >= 0 && e.win[wk].flow == c.flow && e.win[wk].hop == c.hop {
+			return end
+		}
+		end = min(end, e.blockedUntil(c, t)-1)
+		if wk < 0 && c.hop > 0 {
+			if up := &e.fifos[c.flow][c.hop-1]; up.len() > 0 && up.peek().readyAt > t+1 {
+				return t
 			}
-			return m
-		}
-		if b := e.stayBlockedBound(c); b < m {
-			m = b
-		}
-		if m < 2 {
-			return m
 		}
 	}
-	return m
+	return end
 }
 
-// winnerBound returns for how many further cycles winner c keeps
-// transferring one flit per cycle: it is limited by the flits its packet
-// still has on this hop (transfers never cross a packet boundary inside
-// a batch), by the supply of buffered flits when the upstream hop is not
-// also transferring, and by downstream credit when the downstream hop is
-// not also draining. State is read after cycle t's transfers applied.
-func (e *Engine) winnerBound(c cand) noc.Cycles {
-	i, h := c.flow, c.hop
+// winnerEnd returns the last cycle through which window winner k keeps
+// its slot, transferring once a round from the cycle its flit in flight
+// lands on. The transfers it can still make are limited by the flits its
+// packet has left on this hop (a batch never crosses a packet boundary),
+// by the buffered supply when the upstream hop is not also transferring,
+// and by downstream credit when the downstream hop is not also draining;
+// there are none when the next flit is not there and routed, or no
+// credit is free, at its first transfer. State is read after cycle t.
+func (e *Engine) winnerEnd(k int) noc.Cycles {
+	s := &e.win[k] // s.at is the winner's first transfer in the batch
+	i, h := s.flow, s.hop
 	route := e.routes[i]
+	n := noc.Cycles(0)
 	if h == 0 {
-		q := &e.queue[i]
-		if q.len() == 0 {
-			return 0 // source drained; next packet needs a release
+		if q := &e.queue[i]; q.len() > 0 {
+			p := &e.pkts[q.peek()]
+			n = noc.Cycles(p.length - p.injected)
 		}
-		p := &e.pkts[q.peek()]
-		b := noc.Cycles(p.length - p.injected)
-		if !e.isWinner(i, 1) {
-			if cr := noc.Cycles(e.buf - e.fifos[i][0].occupancy()); cr < b {
-				b = cr
+	} else {
+		up := &e.fifos[i][h-1]
+		feeder := e.winnerIdx(i, h-1)
+		var next flit
+		ready := maxCycles
+		if up.len() > 0 {
+			next = *up.peek()
+			ready = next.readyAt
+		} else if feeder >= 0 {
+			// The stream continues with the feeder's in-flight flit.
+			a := &e.win[feeder]
+			next, ready = a.fl, a.at
+			if next.seq == 0 {
+				ready += e.routl
 			}
 		}
-		return b
-	}
-	up := &e.fifos[i][h-1]
-	feeding := e.isWinner(i, h-1)
-	var p2, s2 int32
-	if up.len() > 0 {
-		head := up.peek()
-		p2, s2 = head.pkt, head.seq
-	} else {
-		if !feeding {
-			return 0 // nothing buffered and nothing arriving
-		}
-		// The stream continues with the upstream winner's in-flight flit.
-		rf := &e.arrivals[e.arrivalHead+int(e.winnerOf[route[h-1]])].fl
-		p2, s2 = rf.pkt, rf.seq
-	}
-	b := noc.Cycles(e.pkts[p2].length - s2)
-	if !feeding {
-		if sup := noc.Cycles(up.len()); sup < b {
-			b = sup
+		if ready <= s.at {
+			n = noc.Cycles(e.pkts[next.pkt].length - next.seq)
+			if feeder < 0 {
+				n = min(n, noc.Cycles(up.len()))
+			}
 		}
 	}
-	if int(h) < route.Len()-1 && !e.isWinner(i, h+1) {
-		if cr := noc.Cycles(e.buf - e.fifos[i][h].occupancy()); cr < b {
-			b = cr
+	if int(h) < route.Len()-1 {
+		occ := e.fifos[i][h].occupancy()
+		if d := e.winnerIdx(i, h+1); d < 0 {
+			n = min(n, noc.Cycles(e.buf-occ))
+		} else if occ >= e.buf && e.win[d].at >= s.at {
+			// The downstream hop drains one flit a round, so the credit
+			// seen at the first transfer recurs each round; it is free when
+			// the buffer is, or when the drain comes first in the round.
+			n = 0
 		}
 	}
-	return b
+	return s.at + n*e.linkl - 1
 }
 
-// stayBlockedBound returns for how many cycles after t the non-winning
-// contender c provably stays ineligible. maxCycles means "until some
-// event outside the batch model" — a release (globally bounded by the
-// release heap) or a transfer by a candidate that itself stays blocked.
-// A return of 0 means c is eligible at t+1 and the batch must be
-// abandoned; 1 means a transfer in T frees c's blocker next cycle.
-func (e *Engine) stayBlockedBound(c cand) noc.Cycles {
+// blockedUntil returns the first cycle after t at which the non-winning
+// contender c may be eligible, or maxCycles when it stays ineligible
+// until an event outside the batch: a release (bounded by the release
+// heap) or a transfer by a contender that itself stays blocked. A header
+// still being routed is blocked until its readyAt; a header about to land
+// in an empty buffer bounds the batch at its landing, whose arbitration
+// would schedule a wake.
+func (e *Engine) blockedUntil(c cand, t noc.Cycles) noc.Cycles {
 	i, g := c.flow, c.hop
 	route := e.routes[i]
+	at := t + 1 // the first cycle c has a routed flit to offer
 	if g == 0 {
 		if e.queue[i].len() == 0 {
 			return maxCycles // refilled only by a release
 		}
-		if e.fifos[i][0].occupancy() < e.buf {
-			return 0 // credit available: eligible at t+1
+	} else if up := &e.fifos[i][g-1]; up.len() > 0 {
+		at = max(at, up.peek().readyAt)
+	} else if feeder := e.winnerIdx(i, g-1); feeder >= 0 {
+		a := &e.win[feeder]
+		if at = a.at; a.fl.seq == 0 {
+			return at
 		}
-		if e.isWinner(i, 1) {
-			return 1 // the batch itself drains the blocking buffer
-		}
-		return maxCycles // blocker (i,1) is not transferring in the batch
-	}
-	up := &e.fifos[i][g-1]
-	if up.len() == 0 {
-		if e.isWinner(i, g-1) {
-			return 0 // upstream winner's flit lands at t+1, ready (routl=0)
-		}
+	} else {
 		return maxCycles // nothing buffered, feeder not transferring
 	}
-	// Head flit buffered and ready (routl=0: flits are ready on arrival).
-	if int(g) == route.Len()-1 {
-		return 0 // ejection always consumes: eligible now
-	}
-	if e.fifos[i][g].occupancy() < e.buf {
-		return 0
-	}
-	if e.isWinner(i, g+1) {
-		return 1
+	// Ejection always consumes; otherwise credit must be free now or be
+	// freed by the downstream hop's own transfers in the batch. A full
+	// buffer whose consumer does not transfer stays full.
+	if int(g) == route.Len()-1 || e.fifos[i][g].occupancy() < e.buf || e.winnerIdx(i, g+1) >= 0 {
+		return at
 	}
 	return maxCycles
 }
 
-// bulkApply executes cycles t+1..t+m, all transferring exactly the
-// current transfer set, in one step. Winners are processed per flow in
-// increasing hop order so upstream pushes land before downstream pops of
-// the same flow's buffers; cross-flow winners touch disjoint state. The
-// arrival ring is rebuilt with each winner's last transferred flit (in
-// flight at t+m+1) and the dirty set left by cycle t's phase 6 is
-// already exactly the set cycle t+m would leave, so the normal loop
-// resumes at t+m+1 unchanged.
+// bulkApply executes the next m rounds of linkl cycles, each repeating
+// the window's transfers, in one step. Winner k, whose flit in flight
+// lands at cycle a, transfers at a, a+linkl, …, a+(m−1)·linkl; that flit
+// and its first m−1 batch flits land a round apart from a on, while its
+// last one is in flight at the end. Winners are processed per flow in
+// increasing hop order so upstream landings are in a buffer before the
+// downstream hop pops them; cross-flow winners touch disjoint state. The
+// arrival ring, busy periods and dirty set are left as cycle t+m·linkl
+// leaves them (no arbitration in the batch schedules a wake, so the wake
+// heap needs no change), and the normal loop resumes at t+m·linkl+1
+// unchanged.
 func (e *Engine) bulkApply(m, t noc.Cycles) {
-	T := e.transfers
+	win := e.win
+	L := e.linkl
 	mi := int(m)
 	ord := e.batchOrder[:0]
-	for k := range T {
+	for k := range win {
 		ord = append(ord, int32(k))
 	}
 	for a := 1; a < len(ord); a++ {
 		for b := a; b > 0; b-- {
-			x, y := T[ord[b]], T[ord[b-1]]
+			x, y := &win[ord[b]], &win[ord[b-1]]
 			if x.flow > y.flow || (x.flow == y.flow && x.hop > y.hop) {
 				break
 			}
@@ -1144,21 +1219,21 @@ func (e *Engine) bulkApply(m, t noc.Cycles) {
 		}
 	}
 	e.batchOrder = ord
-	if cap(e.lastFlits) < len(T) {
-		e.lastFlits = make([]flit, len(T))
+	if cap(e.lastFlits) < len(win) {
+		e.lastFlits = make([]flit, len(win))
 	}
-	lasts := e.lastFlits[:len(T)]
+	lasts := e.lastFlits[:len(win)]
 	for _, k := range ord {
-		c := T[k]
-		i, h := c.flow, c.hop
+		// rf is this winner's flit in flight after cycle t, the first of
+		// the m flits it lands during the batch; the flits it transfers
+		// during the batch are the next m of its stream.
+		rf := win[k]
+		i, h := rf.flow, rf.hop
 		route := e.routes[i]
-		// rf is this winner's flit in flight after cycle t: it is the
-		// first of the m flits delivered during the batch; the flits
-		// transferred during the batch are the next m of the stream.
-		rf := e.arrivals[e.arrivalHead+int(k)].fl
+		var pops []flit
 		if h == 0 {
-			// Source: inject the next m flits of the head packet (m is
-			// at most its remaining length, so int32 holds it).
+			// Source: inject the next m flits of the head packet (m is at
+			// most its remaining length, so int32 holds it).
 			q := &e.queue[i]
 			pi := q.peek()
 			p := &e.pkts[pi]
@@ -1169,67 +1244,136 @@ func (e *Engine) bulkApply(m, t noc.Cycles) {
 			}
 			e.flitsLive += mi
 			lasts[k] = flit{pkt: pi, seq: s0 + int32(mi) - 1}
-			F := &e.fifos[i][0]
-			L0 := F.len()
-			occ := L0 + mi
-			if e.isWinner(i, 1) {
-				occ = L0 + 1
-			}
-			if occ > e.res.MaxOccupancy[i][0] {
-				e.res.MaxOccupancy[i][0] = occ
-			}
-			rf.readyAt = t + 1
-			F.push(rf)
-			for j := 1; j < mi; j++ {
-				F.push(flit{pkt: pi, seq: s0 + int32(j) - 1, readyAt: t + 1 + noc.Cycles(j)})
-			}
-			continue
+		} else {
+			up := &e.fifos[i][h-1]
+			pops = up.flits[up.head : up.head+mi]
+			up.head += mi
+			lasts[k] = pops[mi-1]
 		}
-		up := &e.fifos[i][h-1]
-		pops := up.flits[up.head : up.head+mi]
-		lasts[k] = pops[mi-1]
 		if int(h) == route.Len()-1 {
-			// Ejection: the m delivered flits (rf + the first m-1 pops)
-			// leave the network. rf may be the last flit of a previous
-			// packet, completing it at t+1; the pops all belong to the
-			// current head packet and cannot complete it inside the
-			// batch (the no-boundary bound keeps its last flit out).
-			pOld := &e.pkts[rf.pkt]
-			if rf.seq == pOld.length-1 {
+			// Ejection: rf and the first m−1 pops leave the network. rf may
+			// be the last flit of a previous packet, completing it as it
+			// lands; the pops all belong to the current head packet and
+			// cannot complete it inside the batch (the no-boundary bound
+			// keeps its last flit out).
+			pOld := &e.pkts[rf.fl.pkt]
+			if rf.fl.seq == pOld.length-1 {
 				pOld.arrived++
-				e.completePacket(int(i), rf.pkt, t+1)
+				e.completePacket(int(i), rf.fl.pkt, rf.at)
 				e.pkts[pops[0].pkt].arrived += int32(mi - 1)
 			} else {
 				pOld.arrived += int32(mi)
 			}
 			e.flitsLive -= mi
-		} else {
-			F := &e.fifos[i][h]
-			L0 := F.len()
-			occ := L0 + mi
-			if e.isWinner(i, h+1) {
-				occ = L0 + 1
-			}
-			if occ > e.res.MaxOccupancy[i][h] {
-				e.res.MaxOccupancy[i][h] = occ
-			}
-			rf.readyAt = t + 1
-			F.push(rf)
-			for j := 1; j < mi; j++ {
-				fl := pops[j-1]
-				fl.readyAt = t + 1 + noc.Cycles(j)
-				F.push(fl)
+			continue
+		}
+		// The buffer's length after each landing: it grows by one a round
+		// unless the downstream hop drains it as fast, and then holds at
+		// its length now, plus one while the drain comes later in the
+		// round than the landing.
+		F := &e.fifos[i][h]
+		occ := F.len() + mi
+		if d := e.winnerIdx(i, h+1); d >= 0 {
+			occ = F.len()
+			if win[d].at >= rf.at {
+				occ++
 			}
 		}
-		up.head += mi
+		if occ > e.res.MaxOccupancy[i][h] {
+			e.res.MaxOccupancy[i][h] = occ
+		}
+		// Land rf and the first m−1 batch flits a round apart, ready on
+		// arrival; only rf and the first batch flit can be headers, which
+		// pay the routing latency as deliver charges it.
+		dst := F.extend(mi)
+		dst[0] = rf.fl
+		if h == 0 {
+			for j := 1; j < mi; j++ {
+				dst[j] = flit{pkt: lasts[k].pkt, seq: lasts[k].seq - int32(mi-j)}
+			}
+		} else {
+			copy(dst[1:], pops[:mi-1])
+		}
+		at := rf.at
+		for j := range dst {
+			dst[j].readyAt = at
+			at += L
+		}
+		for j := 0; j < min(2, mi); j++ {
+			if dst[j].seq == 0 {
+				dst[j].readyAt += e.routl
+			}
+		}
 	}
-	// Rebuild the in-flight ring: one flit per winner, landing at t+m+1,
-	// in transfer (link) order, and extend the winners' busy periods.
-	e.arrivals = e.arrivals[:0]
-	e.arrivalHead = 0
-	for k, c := range T {
-		e.arrivals = append(e.arrivals, arrival{at: t + m + 1, flow: c.flow, hop: c.hop, fl: lasts[k]})
-		e.busyUntil[e.routes[c.flow][c.hop]] = t + m + 1
+	// Each winner's last batch flit is in flight, landing m rounds after
+	// the flit it replaces, and keeps its link busy until then. The ring
+	// stays in transfer order.
+	shift := m * L
+	for k := range win {
+		win[k].at += shift
+		win[k].fl = lasts[k]
+		e.busyUntil[e.routes[win[k].flow][win[k].hop]] = win[k].at
+	}
+	// The dirty set cycle t+m·linkl leaves: the marks of its transfers,
+	// made by the winners whose flit lands at t+m·linkl+linkl. Its
+	// arbitrations mark nothing: no header waits on a winnerless link.
+	clear(e.dirty)
+	e.nDirty = 0
+	for _, a := range win {
+		if a.at != t+shift+L {
+			continue
+		}
+		route := e.routes[a.flow]
+		if a.hop > 0 {
+			e.markDirty(int(route[a.hop-1]))
+		}
+		if L == 1 {
+			e.markDirty(int(route[a.hop]))
+		}
+	}
+}
+
+// checkInvariants panics when the engine state at the end of cycle t
+// breaks a model invariant: per VC, buffered plus in-flight flits within
+// the depth, flits in stream order (consecutive seq within a packet,
+// packets in release order); the in-flight counts matching the arrival
+// ring; and flitsLive counting exactly the flits in buffers and in
+// transit. It runs only when Config.checkInvariants is set.
+func (e *Engine) checkInvariants(t noc.Cycles) {
+	live, inflight := len(e.arrivals)-e.arrivalHead, 0
+	for _, a := range e.arrivals[e.arrivalHead:] {
+		if int(a.hop) < e.routes[a.flow].Len()-1 {
+			inflight++
+		}
+	}
+	for i := range e.fifos {
+		for h := range e.fifos[i] {
+			f := &e.fifos[i][h]
+			if f.inflight < 0 || f.occupancy() > e.buf {
+				panic(fmt.Sprintf("sim: cycle %d: flow %d hop %d holds %d flits and %d in flight, depth %d",
+					t, i, h, f.len(), f.inflight, e.buf))
+			}
+			live += f.len()
+			inflight -= f.inflight
+			for j := f.head + 1; j < len(f.flits); j++ {
+				a, b := f.flits[j-1], f.flits[j]
+				if a.pkt == b.pkt && b.seq == a.seq+1 {
+					continue
+				}
+				if a.pkt != b.pkt && a.seq == e.pkts[a.pkt].length-1 && b.seq == 0 &&
+					e.pkts[b.pkt].id == e.pkts[a.pkt].id+1 {
+					continue
+				}
+				panic(fmt.Sprintf("sim: cycle %d: flow %d hop %d buffers packet %d flit %d before packet %d flit %d",
+					t, i, h, e.pkts[a.pkt].id, a.seq, e.pkts[b.pkt].id, b.seq))
+			}
+		}
+	}
+	if inflight != 0 {
+		panic(fmt.Sprintf("sim: cycle %d: buffers count %d more in-flight flits than the arrival ring", t, -inflight))
+	}
+	if live != e.flitsLive {
+		panic(fmt.Sprintf("sim: cycle %d: %d flits in buffers and in transit, flitsLive %d", t, live, e.flitsLive))
 	}
 }
 

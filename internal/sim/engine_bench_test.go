@@ -41,16 +41,41 @@ func staggeredOffsets(n int, window noc.Cycles, seed int64) []noc.Cycles {
 }
 
 func synth4x4(b testing.TB, cfg workload.SynthConfig) *traffic.System {
-	topo := noc.MustMesh(4, 4, noc.RouterConfig{BufDepth: 4, LinkLatency: 1})
-	sys, err := workload.Synthetic(topo, cfg)
+	return synthMesh(b, noc.RouterConfig{BufDepth: 4, LinkLatency: 1}, cfg)
+}
+
+// synthMesh is a synthetic system on a 4×4 mesh of platform rc.
+func synthMesh(b testing.TB, rc noc.RouterConfig, cfg workload.SynthConfig) *traffic.System {
+	sys, err := workload.Synthetic(noc.MustMesh(4, 4, rc), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return sys
 }
 
+// platformClass is a (linkl, routl) pair: the platform timing the fast
+// path's batching depends on.
+type platformClass struct{ linkl, routl noc.Cycles }
+
+// platformClasses are the classes of the oracle's default scenario
+// distribution.
+var platformClasses = []platformClass{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
+
+func (pc platformClass) String() string { return fmt.Sprintf("linkl=%d_routl=%d", pc.linkl, pc.routl) }
+
+// router is the class's platform at buffer depth buf.
+func (pc platformClass) router(buf int) noc.RouterConfig {
+	return noc.RouterConfig{BufDepth: buf, LinkLatency: pc.linkl, RouteLatency: pc.routl}
+}
+
+func classOf(sys *traffic.System) platformClass {
+	rc := sys.Topology().Config()
+	return platformClass{rc.LinkLatency, rc.RouteLatency}
+}
+
 func engineScenarios(b testing.TB) []benchScenario {
-	sys := synth4x4(b, workload.SynthConfig{NumFlows: 32, Seed: 9})
+	synth := workload.SynthConfig{NumFlows: 32, Seed: 9}
+	sys := synth4x4(b, synth)
 	sparse := synth4x4(b, workload.SynthConfig{
 		NumFlows: 32, Seed: 9, PeriodMin: 40_000, PeriodMax: 400_000,
 	})
@@ -76,6 +101,11 @@ func engineScenarios(b testing.TB) []benchScenario {
 		// Every flow released at cycle 0: the mesh drains a synchronized
 		// burst, with transfers on most links on most cycles.
 		{"saturated", sys, sim.Config{Duration: 100_000}},
+		// The same burst on two-cycle links, and on one-cycle links with
+		// two-cycle routing: the fast path's multi-cycle rounds and its
+		// header readiness bounds.
+		{"linkl2", synthMesh(b, noc.RouterConfig{BufDepth: 4, LinkLatency: 2}, synth), sim.Config{Duration: 100_000}},
+		{"routl2", synthMesh(b, noc.RouterConfig{BufDepth: 4, LinkLatency: 1, RouteLatency: 2}, synth), sim.Config{Duration: 100_000}},
 		// The paper's Section V example (Table II, buf=2).
 		{"didactic", workload.Didactic(2), sim.Config{Duration: 20_000}},
 		// The exhaustive prover's regime: a `nocfuzz exhaust` scenario
@@ -163,61 +193,69 @@ func BenchmarkEngineTraced(b *testing.B) {
 }
 
 // TestEngineSteadyStateAllocs pins the zero-alloc contract: a warm
-// Engine.Run allocates (almost) nothing, with or without tracing. The
+// Engine.Run allocates (almost) nothing, with or without tracing, on the
+// one-cycle platform and on one with two-cycle links and routing. The
 // small slack absorbs one-off growth of internal rings on unlucky
 // phasings.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run skipped in -short mode")
 	}
-	sys := synth4x4(t, workload.SynthConfig{NumFlows: 32, Seed: 9})
-	cfg := sim.Config{
-		Duration: 50_000,
-		Offsets:  staggeredOffsets(32, 50_000, 5),
-	}
-	eng := sim.NewEngine(sys)
-	// Warm up: let every ring and the packet slab reach steady size.
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(cfg); err != nil {
-			t.Fatal(err)
+	for _, rc := range []noc.RouterConfig{
+		{BufDepth: 4, LinkLatency: 1},
+		{BufDepth: 4, LinkLatency: 2, RouteLatency: 2},
+	} {
+		sys := synthMesh(t, rc, workload.SynthConfig{NumFlows: 32, Seed: 9})
+		cfg := sim.Config{
+			Duration: 50_000,
+			Offsets:  staggeredOffsets(32, 50_000, 5),
 		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(cfg); err != nil {
-			t.Fatal(err)
+		eng := sim.NewEngine(sys)
+		// Warm up: let every ring and the packet slab reach steady size.
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 1 {
-		t.Errorf("warm Engine.Run allocates %.1f objects/run, want ~0", allocs)
-	}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := eng.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("linkl=%d routl=%d: warm Engine.Run allocates %.1f objects/run, want ~0",
+				rc.LinkLatency, rc.RouteLatency, allocs)
+		}
 
-	traced := cfg
-	traced.TraceWriter = io.Discard
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(traced); err != nil {
+		traced := cfg
+		traced.TraceWriter = io.Discard
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Run(traced); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := eng.Run(traced)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	res, err := eng.Run(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flits := 0
-	for i := range res.Completed {
-		flits += res.Completed[i] * sys.Flow(i).Length
-	}
-	if flits == 0 {
-		t.Fatal("traced scenario completed no packets")
-	}
-	allocs = testing.AllocsPerRun(5, func() {
-		if _, err := eng.Run(traced); err != nil {
-			t.Fatal(err)
+		flits := 0
+		for i := range res.Completed {
+			flits += res.Completed[i] * sys.Flow(i).Length
 		}
-	})
-	// The old engine allocated per flit (fmt.Fprintf); the batched path
-	// must stay far below one allocation per transferred flit.
-	if allocs > 8 {
-		t.Errorf("warm traced Engine.Run allocates %.1f objects/run over %d delivered flits, want ~0", allocs, flits)
+		if flits == 0 {
+			t.Fatal("traced scenario completed no packets")
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			if _, err := eng.Run(traced); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The old engine allocated per flit (fmt.Fprintf); the batched path
+		// must stay far below one allocation per transferred flit.
+		if allocs > 8 {
+			t.Errorf("linkl=%d routl=%d: warm traced Engine.Run allocates %.1f objects/run over %d delivered flits, want ~0",
+				rc.LinkLatency, rc.RouteLatency, allocs, flits)
+		}
 	}
 }
 

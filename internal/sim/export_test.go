@@ -12,3 +12,10 @@ func Scoped(cfg Config, target int) Config {
 // RecurrencePeriod returns the period of the recurrence r's run was cut
 // at, or 0 when the cut did not fire.
 func RecurrencePeriod(r *Result) noc.Cycles { return r.Stats.recurrence }
+
+// Checked returns cfg with the engine's runtime invariants checked after
+// every executed cycle and every fast-path batch.
+func Checked(cfg Config) Config {
+	cfg.checkInvariants = true
+	return cfg
+}

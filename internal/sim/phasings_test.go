@@ -34,7 +34,7 @@ func phasingCases(t testing.TB) []phasingCase {
 	for i := 0; i < 40; i++ {
 		all = append(all, staggeredOffsets(16, 20_000, int64(i)))
 	}
-	cases = append(cases, phasingCase{"synth16", sysA, sim.Config{Duration: 20_000}, false, all,
+	cases = append(cases, phasingCase{"synth16", sysA, sim.Checked(sim.Config{Duration: 20_000}), false, all,
 		func(i int, off []noc.Cycles) { copy(off, all[i]) }})
 
 	// One flow swept over non-zero base offsets of an overloaded line:
@@ -49,7 +49,7 @@ func phasingCases(t testing.TB) []phasingCase {
 		swept = append(swept, []noc.Cycles{noc.Cycles(i) * 3, 25})
 	}
 	for _, busy := range []bool{false, true} {
-		cases = append(cases, phasingCase{"overload", overload, sim.Config{Duration: 1_000, Offsets: []noc.Cycles{0, 25}}, busy, swept,
+		cases = append(cases, phasingCase{"overload", overload, sim.Checked(sim.Config{Duration: 1_000, Offsets: []noc.Cycles{0, 25}}), busy, swept,
 			func(i int, off []noc.Cycles) { off[0] = noc.Cycles(i) * 3 }})
 	}
 
@@ -59,8 +59,15 @@ func phasingCases(t testing.TB) []phasingCase {
 		table2 = append(table2, []noc.Cycles{noc.Cycles(i), 0, 0})
 	}
 	for _, busy := range []bool{false, true} {
-		cases = append(cases, phasingCase{"didactic", didactic, sim.Config{Duration: 2_000}, busy, table2,
+		cases = append(cases, phasingCase{"didactic", didactic, sim.Checked(sim.Config{Duration: 2_000}), busy, table2,
 			func(i int, off []noc.Cycles) { off[0] = noc.Cycles(i) }})
+	}
+
+	// The synth16 phasings on two-cycle links with two-cycle routing.
+	sysB := synthMesh(t, noc.RouterConfig{BufDepth: 4, LinkLatency: 2, RouteLatency: 2}, workload.SynthConfig{NumFlows: 16, Seed: 3})
+	for _, busy := range []bool{false, true} {
+		cases = append(cases, phasingCase{"synth16 linkl=2 routl=2", sysB, sim.Checked(sim.Config{Duration: 20_000}), busy, all,
+			func(i int, off []noc.Cycles) { copy(off, all[i]) }})
 	}
 	return cases
 }

@@ -149,14 +149,15 @@ func scopedCorpus(t testing.TB) []scopedCase {
 
 // TestScopedRunsMatchFullRuns runs every flow of the differential
 // corpus as the target of a scoped run, on one reused engine per case,
-// and holds the target's whole Result row to the full-horizon run's.
+// and holds the target's whole Result row to the full-horizon run's,
+// with the engine's runtime invariants checked on both.
 // It also requires that most scoped runs actually stop early, and that
 // the recurrence cut, whose row is partly extrapolated, fires on at
 // least half of the tiny runs, so neither comparison passes vacuously.
 func TestScopedRunsMatchFullRuns(t *testing.T) {
 	runs, stopped, tinyRuns, cut := 0, 0, 0, 0
 	for _, c := range scopedCorpus(t) {
-		full, err := sim.Run(c.sys, c.cfg)
+		full, err := sim.Run(c.sys, sim.Checked(c.cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
@@ -165,7 +166,7 @@ func TestScopedRunsMatchFullRuns(t *testing.T) {
 		}
 		eng := sim.NewEngine(c.sys)
 		for f := 0; f < c.sys.NumFlows(); f++ {
-			got, err := eng.Run(sim.Scoped(c.cfg, f))
+			got, err := eng.Run(sim.Checked(sim.Scoped(c.cfg, f)))
 			if err != nil {
 				t.Fatalf("%s target %d: %v", c.label, f, err)
 			}

@@ -80,6 +80,10 @@ type Config struct {
 	// first drains: after the first release, every released packet has
 	// been delivered. Only Engine.RunBusyPeriod sets it.
 	busyPeriod bool
+	// checkInvariants makes Engine check its runtime invariants after
+	// every executed cycle and every fast-path batch, panicking on a
+	// breach. Tests set it; it costs nothing when off.
+	checkInvariants bool
 }
 
 // Stats reports engine-internal execution counters. They describe how a
@@ -89,12 +93,14 @@ type Config struct {
 // reference engine always leaves it zero.
 type Stats struct {
 	// FastPathBatches counts locked-arbitration batches: stretches of
-	// cycles in which every link's winner, credits and contender set
-	// were provably stable, executed as one bulk step instead of
-	// per-cycle arbitration (DESIGN.md §13).
+	// whole rounds of linkl cycles, on any platform, in which every
+	// link's winner, credits and contender set provably repeated the
+	// round before, executed as one bulk step instead of per-cycle
+	// arbitration (DESIGN.md §13). Traced runs never batch.
 	FastPathBatches int
 	// FastPathCycles is the total number of simulated cycles covered by
-	// those batches (each batch covers at least 2 cycles).
+	// those batches: a multiple of linkl per batch, and at least 2
+	// cycles.
 	FastPathCycles noc.Cycles
 	// StoppedAt is the cycle a run that may stop early ended at: a
 	// target-scoped run (a SearchWorstCase probe) or a busy-period run
