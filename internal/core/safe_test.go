@@ -51,10 +51,7 @@ func TestGuardDoesNotRewrapNestedInternalError(t *testing.T) {
 // until faultinject.Disable, which the test's cleanup also calls.
 func injectPanic(t *testing.T) {
 	t.Helper()
-	faultinject.Enable(faultinject.New(7).Add(faultinject.Fault{
-		Site: faultinject.SiteCoreFixedPoint,
-		Kind: faultinject.KindPanic,
-	}))
+	faultinject.Enable(faultinject.New().Add(faultinject.Fault{Site: faultinject.SiteCoreFixedPoint}))
 	t.Cleanup(faultinject.Disable)
 }
 
@@ -166,25 +163,4 @@ func TestIncrementalAnalyzeContainsInjectedPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "after recovery", got, want)
-}
-
-// An injected transient error in the fixed point surfaces unchanged (the
-// guard converts only panics), preserving its Transient marker for the
-// retry policy above.
-func TestAnalyzeContextPassesThroughInjectedError(t *testing.T) {
-	faultinject.Enable(faultinject.New(7).Add(faultinject.Fault{
-		Site: faultinject.SiteCoreFixedPoint,
-		Kind: faultinject.KindError,
-	}))
-	defer faultinject.Disable()
-
-	eng := core.NewEngine(workload.Didactic(2))
-	_, err := eng.AnalyzeContext(context.Background(), core.Options{Method: core.IBN})
-	var fe *faultinject.InjectedError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v (%T), want *faultinject.InjectedError", err, err)
-	}
-	if !fe.Transient() {
-		t.Fatal("injected error lost its Transient marker")
-	}
 }

@@ -12,10 +12,7 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
-
-	"wormnoc/internal/faultinject"
 )
 
 // Runner executes independent tasks on a bounded worker pool.
@@ -56,20 +53,14 @@ func (r *Runner) RunContext(ctx context.Context, n int, fn func(i int) error) er
 	return call.Run(n, fn)
 }
 
-// safeCall runs fn(w, i) with the pool's fault-injection hook and panic
-// containment: a panic in the task (or injected at the site) is
-// recovered into a *PanicError carrying the index and stack.
-func safeCall(ctx context.Context, w, i int, fn func(w, i int) error) (err error) {
+// safeCall runs fn(w, i) with panic containment: a panic in the task
+// is recovered into a *PanicError carrying the index and stack.
+func safeCall(w, i int, fn func(w, i int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = newPanicError(i, v)
 		}
 	}()
-	if faultinject.Enabled() {
-		if ferr := faultinject.Fire(faultinject.SiteParallelTask, strconv.Itoa(i)); ferr != nil {
-			return ferr
-		}
-	}
 	return fn(w, i)
 }
 
@@ -120,7 +111,7 @@ func (r *Runner) runSerial(parent context.Context, n int, fn func(w, i int) erro
 			}
 			return err
 		}
-		if err := safeCall(parent, 0, i, fn); err != nil {
+		if err := safeCall(0, i, fn); err != nil {
 			if !r.KeepGoing {
 				return err
 			}
@@ -160,7 +151,7 @@ func (r *Runner) runPool(parent context.Context, w, n int, fn func(w, i int) err
 				if ctx.Err() != nil {
 					continue
 				}
-				err := safeCall(ctx, slot, i, fn)
+				err := safeCall(slot, i, fn)
 				mu.Lock()
 				if err != nil {
 					if r.KeepGoing {

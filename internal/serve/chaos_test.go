@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"wormnoc/internal/faultinject"
 	"wormnoc/internal/traffic"
@@ -17,12 +16,8 @@ import (
 // reconcile the counters against the injector's fired counts.
 type faultMetrics struct {
 	Faults struct {
-		Panics       int64    `json:"panics"`
-		ItemPanics   int64    `json:"item_panics"`
-		Retries      int64    `json:"retries"`
-		BreakerTrips int64    `json:"breaker_trips"`
-		BreakerShed  int64    `json:"breaker_shed"`
-		BreakerOpen  []string `json:"breaker_open"`
+		Panics     int64 `json:"panics"`
+		ItemPanics int64 `json:"item_panics"`
 	} `json:"faults"`
 }
 
@@ -37,16 +32,14 @@ func TestChaosBatchPartialSuccess(t *testing.T) {
 	for i := range panicIdx {
 		keys = append(keys, strconv.Itoa(i))
 	}
-	in := faultinject.New(1).Add(faultinject.Fault{
+	in := faultinject.New().Add(faultinject.Fault{
 		Site: faultinject.SiteServeBatchItem,
-		Kind: faultinject.KindPanic,
 		Keys: keys,
 	})
 	faultinject.Enable(in)
 	defer faultinject.Disable()
 
-	// A high threshold keeps the circuit breaker out of this test.
-	srv := New(Config{BreakerThreshold: 1000})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -106,7 +99,7 @@ func TestChaosBatchPartialSuccess(t *testing.T) {
 	if met.Faults.ItemPanics != in.TotalFired() {
 		t.Fatalf("item_panics = %d, want %d (injector fired)", met.Faults.ItemPanics, in.TotalFired())
 	}
-	if met.Faults.Panics != 0 || met.Faults.Retries != 0 || met.Faults.BreakerTrips != 0 {
+	if met.Faults.Panics != 0 {
 		t.Fatalf("unexpected fault counters: %+v", met.Faults)
 	}
 
@@ -118,142 +111,77 @@ func TestChaosBatchPartialSuccess(t *testing.T) {
 	}
 }
 
-// A transient fault inside the engine's fixed point is retried with
-// backoff and succeeds on the second attempt; the item reports the
-// retry it consumed and /metrics counts it.
-func TestChaosTransientFaultRetried(t *testing.T) {
-	in := faultinject.New(1).Add(faultinject.Fault{
-		Site:  faultinject.SiteCoreFixedPoint,
-		Kind:  faultinject.KindError,
-		Times: 1,
-	})
+// The analysis is deterministic, so its faults shed nothing: a batch
+// whose every item panics — 32 faults in one method, twice what once
+// tripped a per-method circuit breaker — leaves that method serving
+// analyses, batches and what-if chains, and /healthz plainly healthy.
+func TestChaosPanicsDoNotShedMethod(t *testing.T) {
+	in := faultinject.New().Add(faultinject.Fault{Site: faultinject.SiteServeBatchItem})
 	faultinject.Enable(in)
 	defer faultinject.Disable()
 
-	srv := New(Config{RetryBackoff: time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Systems: []traffic.Document{didacticDoc()}, Method: "IBN",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out BatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	item := out.Results[0]
-	if item.AnalyzeResponse == nil {
-		t.Fatalf("item failed despite retry budget: %+v", item)
-	}
-	if item.Retries != 1 {
-		t.Fatalf("item consumed %d retries, want 1", item.Retries)
-	}
-	if r := item.Flows[2].R; r != 348 {
-		t.Fatalf("retried result R(τ3) = %d, want 348", r)
-	}
-	if in.TotalFired() != 1 {
-		t.Fatalf("injector fired %d, want 1", in.TotalFired())
-	}
-	var met faultMetrics
-	getJSON(t, ts.URL+"/metrics", &met)
-	if met.Faults.Retries != 1 {
-		t.Fatalf("retries counter = %d, want 1", met.Faults.Retries)
-	}
-	if met.Faults.ItemPanics != 0 || met.Faults.Panics != 0 {
-		t.Fatalf("unexpected panic counters: %+v", met.Faults)
-	}
-}
-
-// Repeated internal faults in one method trip its circuit breaker: that
-// method is shed with 503 while the others keep serving, /healthz turns
-// degraded naming the open method, and after the cooldown a successful
-// probe closes the breaker again.
-func TestChaosBreakerTripsAndRecovers(t *testing.T) {
-	faultinject.Enable(faultinject.New(1).Add(faultinject.Fault{
-		Site: faultinject.SiteServeBatchItem,
-		Kind: faultinject.KindPanic,
-	}))
-	defer faultinject.Disable()
-
-	srv := New(Config{BreakerWindow: 8, BreakerThreshold: 3, BreakerCooldown: time.Hour})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Three injected per-item panics in one IBN batch reach the
-	// threshold and trip the IBN breaker.
-	systems := make([]traffic.Document, 3)
+	const n = 32
+	systems := make([]traffic.Document, n)
 	for i := range systems {
 		systems[i] = didacticDoc()
 		systems[i].Mesh.BufDepth = i + 1
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Systems: systems, Method: "IBN"})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tripping batch: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("poisoned batch: status %d: %s", resp.StatusCode, body)
 	}
+	var out BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Failed != n {
+		t.Fatalf("failed = %d, want all %d items", out.Failed, n)
+	}
+	faultinject.Disable()
 
-	// IBN is now shed — batches and single analyses alike.
 	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped method: status %d (want 503): %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker 503 without Retry-After")
-	}
-
-	// Sibling methods keep serving: the fault site only fires in
-	// batches, so a plain XLWX analyze is healthy.
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "XLWX"})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sibling method was shed too: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("analyze after %d faults: status %d: %s", n, resp.StatusCode, body)
+	}
+	healthy := didacticDoc()
+	healthy.Mesh.BufDepth = 40
+	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Systems: []traffic.Document{healthy}, Method: "IBN"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch after %d faults: status %d: %s", n, resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Failed != 0 {
+		t.Fatalf("healthy batch failed: %s", body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/whatif", WhatIfRequest{System: ptr(didacticDoc()), Method: "IBN", Deltas: whatifChain()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("what-if after %d faults: status %d: %s", n, resp.StatusCode, body)
+	}
+	var chain WhatIfResponse
+	if err := json.Unmarshal(body, &chain); err != nil {
+		t.Fatal(err)
+	}
+	if chain.Failed != 0 {
+		t.Fatalf("healthy what-if chain failed: %s", body)
 	}
 
-	// /healthz reports degraded readiness naming the open method.
-	var health struct {
-		OK          bool     `json:"ok"`
-		Degraded    bool     `json:"degraded"`
-		OpenMethods []string `json:"open_methods"`
+	var health map[string]any
+	if resp := getJSON(t, ts.URL+"/healthz", &health); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	hresp := getJSON(t, ts.URL+"/healthz", &health)
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d while degraded, want 200", hresp.StatusCode)
-	}
-	if health.OK || !health.Degraded {
-		t.Fatalf("healthz not degraded: %+v", health)
-	}
-	if len(health.OpenMethods) != 1 || health.OpenMethods[0] != "IBN" {
-		t.Fatalf("open_methods = %v, want [IBN]", health.OpenMethods)
+	if len(health) != 1 || health["ok"] != true {
+		t.Fatalf("healthz = %v, want {\"ok\": true}", health)
 	}
 	var met faultMetrics
 	getJSON(t, ts.URL+"/metrics", &met)
-	if met.Faults.BreakerTrips != 1 {
-		t.Fatalf("breaker_trips = %d, want 1", met.Faults.BreakerTrips)
-	}
-	if met.Faults.BreakerShed == 0 {
-		t.Fatal("breaker_shed = 0 after a shed request")
-	}
-	if len(met.Faults.BreakerOpen) != 1 || met.Faults.BreakerOpen[0] != "IBN" {
-		t.Fatalf("breaker_open = %v, want [IBN]", met.Faults.BreakerOpen)
-	}
-
-	// Past the cooldown (fake clock) and with the fault gone, the next
-	// IBN request is the half-open probe; its success closes the breaker.
-	faultinject.Disable()
-	srv.brk.mu.Lock()
-	srv.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	srv.brk.mu.Unlock()
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe after cooldown: status %d: %s", resp.StatusCode, body)
-	}
-	// The healthy body omits degraded/open_methods entirely; zero the
-	// struct so stale fields from the degraded decode can't leak in.
-	health.OK, health.Degraded, health.OpenMethods = false, false, nil
-	getJSON(t, ts.URL+"/healthz", &health)
-	if !health.OK || health.Degraded {
-		t.Fatalf("healthz still degraded after recovery: %+v", health)
+	if fired := in.TotalFired(); fired != n || met.Faults.ItemPanics != fired {
+		t.Fatalf("item_panics = %d, injector fired %d, want both %d", met.Faults.ItemPanics, fired, n)
 	}
 }
 
@@ -262,10 +190,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 // server, not having died, serves the same request fine once the fault
 // is gone.
 func TestChaosAnalyzePanicBecomes500WithIncident(t *testing.T) {
-	faultinject.Enable(faultinject.New(1).Add(faultinject.Fault{
-		Site: faultinject.SiteCoreFixedPoint,
-		Kind: faultinject.KindPanic,
-	}))
+	faultinject.Enable(faultinject.New().Add(faultinject.Fault{Site: faultinject.SiteCoreFixedPoint}))
 	defer faultinject.Disable()
 
 	srv := New(Config{})
@@ -303,10 +228,7 @@ func TestChaosAnalyzePanicBecomes500WithIncident(t *testing.T) {
 // build, outside the per-item boundaries) is caught by the recovery
 // middleware: 500 + incident ID, process alive.
 func TestChaosWrapMiddlewareRecoversHandlerPanic(t *testing.T) {
-	faultinject.Enable(faultinject.New(1).Add(faultinject.Fault{
-		Site: faultinject.SiteServeEngineBuild,
-		Kind: faultinject.KindPanic,
-	}))
+	faultinject.Enable(faultinject.New().Add(faultinject.Fault{Site: faultinject.SiteServeEngineBuild}))
 	defer faultinject.Disable()
 
 	srv := New(Config{})
@@ -329,118 +251,6 @@ func TestChaosWrapMiddlewareRecoversHandlerPanic(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("server dead after handler panic: status %d", resp.StatusCode)
-	}
-}
-
-// Regression for the half-open probe-slot leak: a probe request that is
-// shed at admission (429, before any breaker record) must hand its slot
-// back; otherwise the method wedges in half-open, shedding every
-// request with 503 until a restart.
-func TestBreakerProbeSurvivesAdmissionShed(t *testing.T) {
-	faultinject.Enable(faultinject.New(1).Add(faultinject.Fault{
-		Site: faultinject.SiteServeBatchItem,
-		Kind: faultinject.KindPanic,
-	}))
-	defer faultinject.Disable()
-
-	srv := New(Config{BreakerWindow: 8, BreakerThreshold: 1, BreakerCooldown: time.Hour, MaxInFlight: 2})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// One injected per-item panic trips the IBN breaker (threshold 1).
-	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Systems: []traffic.Document{didacticDoc()}, Method: "IBN",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tripping batch: status %d: %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped method: status %d (want 503): %s", resp.StatusCode, body)
-	}
-
-	// Past the cooldown (fake clock), fault gone, but admission is
-	// saturated: the half-open probe passes the breaker gate and is then
-	// shed with 429 before it can record an outcome.
-	faultinject.Disable()
-	srv.brk.mu.Lock()
-	srv.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	srv.brk.mu.Unlock()
-	srv.sem <- struct{}{}
-	srv.sem <- struct{}{}
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("probe while saturated: status %d (want 429): %s", resp.StatusCode, body)
-	}
-
-	// With capacity back, the next request must be admitted as the new
-	// probe and close the breaker — not 503 off a leaked probe slot.
-	<-srv.sem
-	<-srv.sem
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "IBN"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe after admission shed: status %d (want 200; probe slot leaked?): %s", resp.StatusCode, body)
-	}
-}
-
-// Regression for the other probe-leak path: a half-open probe batch
-// served entirely from the result cache records no run outcome and must
-// hand the probe slot back instead of wedging the method.
-func TestBreakerProbeReleasedOnCachedBatch(t *testing.T) {
-	srv := New(Config{BreakerWindow: 8, BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Warm the cache for the didactic system, then trip XLWX with an
-	// injected per-item panic on a different system.
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: didacticDoc(), Method: "XLWX"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warming request: status %d: %s", resp.StatusCode, body)
-	}
-	faultinject.Enable(faultinject.New(1).Add(faultinject.Fault{
-		Site: faultinject.SiteServeBatchItem,
-		Kind: faultinject.KindPanic,
-	}))
-	defer faultinject.Disable()
-	other := didacticDoc()
-	other.Mesh.BufDepth = 9
-	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Systems: []traffic.Document{other}, Method: "XLWX",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tripping batch: status %d: %s", resp.StatusCode, body)
-	}
-	faultinject.Disable()
-
-	// Past the cooldown, the probe slot goes to a batch whose only item
-	// is cache-served: no record happens, the slot must be released.
-	srv.brk.mu.Lock()
-	srv.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	srv.brk.mu.Unlock()
-	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Systems: []traffic.Document{didacticDoc()}, Method: "XLWX",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached probe batch: status %d: %s", resp.StatusCode, body)
-	}
-	var out BatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.CacheHits != 1 {
-		t.Fatalf("probe batch cache_hits = %d, want 1", out.CacheHits)
-	}
-
-	// An uncached XLWX request must now be admitted as the real probe
-	// (its success closes the breaker) instead of 503ing forever.
-	uncached := didacticDoc()
-	uncached.Mesh.BufDepth = 11
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{System: uncached, Method: "XLWX"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe after cached batch: status %d (want 200; probe slot leaked?): %s", resp.StatusCode, body)
-	}
-	if open := srv.brk.openMethods(); len(open) != 0 {
-		t.Fatalf("breaker still open after successful probe: %v", open)
 	}
 }
 

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"wormnoc/internal/canon"
@@ -108,13 +106,12 @@ type BatchRequest struct {
 // Per-item error codes of a BatchItem (see docs/API.md). They classify
 // the failure so clients can decide what to do per item: re-submitting
 // an "invalid_system" is pointless, a "timeout" may succeed with a
-// larger budget, a "panic" should be reported with its message, and a
-// "transient" already consumed the server-side retry budget.
+// larger budget, and a "panic" should be reported with its message (it
+// recurs on every re-submission: the analysis is deterministic).
 const (
-	errCodeInvalid   = "invalid_system"
-	errCodeTimeout   = "timeout"
-	errCodePanic     = "panic"
-	errCodeTransient = "transient"
+	errCodeInvalid = "invalid_system"
+	errCodeTimeout = "timeout"
+	errCodePanic   = "panic"
 )
 
 // BatchItem is one system's outcome inside a BatchResponse: either an
@@ -125,12 +122,9 @@ type BatchItem struct {
 	*AnalyzeResponse
 	// Error is the human-readable failure (empty on success).
 	Error string `json:"error,omitempty"`
-	// Code classifies the failure: "invalid_system", "timeout", "panic"
-	// or "transient" (empty on success).
+	// Code classifies the failure: "invalid_system", "timeout" or
+	// "panic" (empty on success).
 	Code string `json:"code,omitempty"`
-	// Retries counts the server-side retry attempts this item consumed
-	// (transient faults only).
-	Retries int `json:"retries,omitempty"`
 }
 
 // BatchResponse is the body of POST /v1/batch. Results are indexed like
@@ -178,14 +172,6 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// isTransient reports whether err (or anything it wraps) marks itself
-// as retryable via a Transient() bool method. Injected faults do;
-// invalid systems, deadline expiries and panics do not.
-func isTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
 // classifyError maps an analysis failure to its per-item error code and
 // the HTTP status it carries when it is the whole response.
 func classifyError(err error) (code string, status int) {
@@ -196,82 +182,47 @@ func classifyError(err error) (code string, status int) {
 		return errCodePanic, http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return errCodeTimeout, http.StatusGatewayTimeout
-	case isTransient(err):
-		return errCodeTransient, http.StatusInternalServerError
 	default:
 		return errCodeInvalid, http.StatusUnprocessableEntity
 	}
 }
 
-// isInternalFault reports whether err consumes the method's error
-// budget: panics and transient server-side faults do, client errors and
-// deadline expiries do not.
-func isInternalFault(err error) bool {
-	if err == nil {
-		return false
-	}
-	code, _ := classifyError(err)
-	return code == errCodePanic || code == errCodeTransient
-}
-
-// itemErrorMessage renders one batch item's failure for the wire.
-// Panic-coded faults mirror the wrap middleware's redaction: the raw
-// panic value (and stack) stays in the server-side log, the client
-// gets an opaque incident reference.
-func itemErrorMessage(i int, code string, err error) string {
+// errorMessage renders the failure of one batch item or what-if step
+// (unit names which, i its index) for the wire. Panic-coded faults
+// mirror the wrap middleware's redaction: the raw panic value (and
+// stack) stays in the server-side log, the client gets an opaque
+// incident reference.
+func errorMessage(unit string, i int, code string, err error) string {
 	if code != errCodePanic {
 		return err.Error()
 	}
 	id := incidentID()
-	log.Printf("serve: batch item %d fault (incident %s): %v", i, id, err)
+	log.Printf("serve: %s %d fault (incident %s): %v", unit, i, id, err)
 	return fmt.Sprintf("internal error (incident %s)", id)
 }
 
-// analyzeOne runs (or cache-serves) one system+options pair. It is the
-// shared core of /v1/analyze and each /v1/batch element. The returned
-// status is the HTTP status the outcome maps to; resp is nil unless
-// status is 200. Engine construction and the analysis itself run behind
-// the core panic boundary, so a library invariant violation surfaces as
-// a typed *core.InternalError, never a raw panic. An injected cache
-// fault degrades to recompute-and-don't-store rather than failing the
-// request.
-func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.Options) (resp *AnalyzeResponse, status int, err error) {
-	key := canon.Key(doc, opt)
-	cacheOK := true
-	if faultinject.Enabled() {
-		if ferr := faultinject.Fire(faultinject.SiteServeCacheGet, key); ferr != nil {
-			cacheOK = false
-		}
+// lookup serves key from the result cache, recording a hit; a miss is
+// recorded by whoever then runs the analysis.
+func (s *Server) lookup(key string) (*AnalyzeResponse, bool) {
+	cached, ok := s.results.Get(key)
+	if !ok {
+		return nil, false
 	}
-	if cacheOK {
-		if cached, ok := s.results.Get(key); ok {
-			s.met.recordCache(true)
-			hit := *cached
-			hit.Cached = true
-			return &hit, http.StatusOK, nil
-		}
-	}
-	s.met.recordCache(false)
+	s.met.recordCache(true)
+	hit := *cached
+	hit.Cached = true
+	return &hit, true
+}
 
-	eng, err := s.engine(ctx, doc)
-	if err != nil {
-		_, status = classifyError(err)
-		return nil, status, err
-	}
-	t0 := time.Now()
-	res, err := eng.AnalyzeContext(ctx, opt)
-	if err != nil {
-		_, status = classifyError(err)
-		return nil, status, err
-	}
-	sys := eng.System()
+// newResponse renders res, the analysis of sys under method m that took
+// elapsed, as the wire response cached under key.
+func newResponse(sys *traffic.System, res *core.Result, m core.Method, key string, elapsed time.Duration) *AnalyzeResponse {
 	out := &AnalyzeResponse{
-		Method:      opt.Method.String(),
+		Method:      m.String(),
 		Schedulable: res.Schedulable,
 		Flows:       make([]FlowResult, sys.NumFlows()),
 		Key:         key,
-		SystemKey:   canon.SystemKey(doc),
-		ElapsedUs:   time.Since(t0).Microseconds(),
+		ElapsedUs:   elapsed.Microseconds(),
 	}
 	for i := range out.Flows {
 		f := sys.Flow(i)
@@ -284,58 +235,31 @@ func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.
 			Status:   res.Flows[i].Status.String(),
 		}
 	}
-	if cacheOK {
-		putOK := true
-		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(faultinject.SiteServeCachePut, key); ferr != nil {
-				putOK = false
-			}
-		}
-		if putOK {
-			s.results.Put(key, out)
-		}
-	}
-	return out, http.StatusOK, nil
+	return out
 }
 
-// maxRetryBackoff caps the exponential retry backoff: it bounds the
-// worst-case per-attempt delay and keeps the doubling below from
-// overflowing time.Duration when ItemRetries is configured large.
-const maxRetryBackoff = time.Second
-
-// retryDelay returns the backoff before retry attempt (0-based): base
-// doubled per attempt, clamped to maxRetryBackoff, jittered ±50% to
-// avoid retry synchronisation.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < maxRetryBackoff; i++ {
-		d <<= 1
+// analyzeOne analyses one system+options pair that missed the result
+// cache under key, and caches the response. It is the shared core of
+// /v1/analyze and each /v1/batch element. Engine construction and the
+// analysis itself run behind the core panic boundary, so a library
+// invariant violation surfaces as a typed *core.InternalError, never a
+// raw panic.
+func (s *Server) analyzeOne(ctx context.Context, doc traffic.Document, opt core.Options, key string) (*AnalyzeResponse, error) {
+	s.met.recordCache(false)
+	sysKey := canon.SystemKey(doc)
+	eng, err := s.engine(doc, sysKey)
+	if err != nil {
+		return nil, err
 	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
+	t0 := time.Now()
+	res, err := eng.AnalyzeContext(ctx, opt)
+	if err != nil {
+		return nil, err
 	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
-}
-
-// analyzeWithRetry is analyzeOne plus the bounded retry policy for
-// transient faults: up to cfg.ItemRetries re-attempts with doubling,
-// ±50%-jittered backoff, aborted early by the context. The returned
-// retries counts the re-attempts actually executed.
-func (s *Server) analyzeWithRetry(ctx context.Context, doc traffic.Document, opt core.Options) (resp *AnalyzeResponse, status, retries int, err error) {
-	for attempt := 0; ; attempt++ {
-		resp, status, err = s.analyzeOne(ctx, doc, opt)
-		if err == nil || attempt >= s.cfg.ItemRetries || !isTransient(err) || ctx.Err() != nil {
-			return resp, status, attempt, err
-		}
-		t := time.NewTimer(retryDelay(s.cfg.RetryBackoff, attempt))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return resp, status, attempt, err
-		case <-t.C:
-		}
-		s.met.recordRetry()
-	}
+	out := newResponse(eng.System(), res, opt.Method, key, time.Since(t0))
+	out.SystemKey = sysKey
+	s.results.Put(key, out)
+	return out, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -354,33 +278,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Cache hits are served without an admission slot: they do no
 	// analysis work, and shedding them would defeat the cache.
 	key := canon.Key(req.System, opt)
-	if cached, ok := s.results.Get(key); ok {
-		s.met.recordCache(true)
-		hit := *cached
-		hit.Cached = true
-		writeJSON(w, http.StatusOK, &hit)
+	if hit, ok := s.lookup(key); ok {
+		writeJSON(w, http.StatusOK, hit)
 		return
 	}
-
-	// The circuit breaker sheds only the tripped method. The cache check
-	// above runs before this gate, so an open breaker never 503s a
-	// cache-servable /v1/analyze request. (Batches of an open method are
-	// shed wholly, cache-servable items included — see handleBatch.)
-	if !s.brk.allow(m.String()) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown/time.Second)+1))
-		writeError(w, http.StatusServiceUnavailable, "analysis method %s is degraded (circuit open), retry later", m)
-		return
-	}
-	// A request that passed the gate but never reaches record below —
-	// shed at admission, or served from the cache inside analyzeOne —
-	// must hand back the half-open probe slot it may hold, or the
-	// breaker would wedge in half-open with no probe outcome arriving.
-	recorded := false
-	defer func() {
-		if !recorded {
-			s.brk.release(m.String())
-		}
-	}()
 
 	release := s.admit()
 	if release == nil {
@@ -393,14 +294,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMs))
 	defer cancel()
-	resp, status, _, err := s.analyzeWithRetry(ctx, req.System, opt)
-	if err != nil || !resp.Cached {
-		// Cache hits do no engine work and stay out of the error budget.
-		s.brk.record(m.String(), isInternalFault(err))
-		recorded = true
-	}
+	resp, err := s.analyzeOne(ctx, req.System, opt, key)
 	if err != nil {
-		code, _ := classifyError(err)
+		code, status := classifyError(err)
 		if code == errCodePanic {
 			id := incidentID()
 			log.Printf("serve: analysis fault (incident %s): %v", id, err)
@@ -417,7 +313,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -441,26 +337,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := req.Options.toCore(m)
 
-	// A batch names a single method, so a tripped breaker sheds the
-	// whole batch — and only batches (and analyses) of that method. The
-	// gate runs before any per-item cache lookup, so cache-servable
-	// items of an open method are shed too.
-	if !s.brk.allow(m.String()) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown/time.Second)+1))
-		writeError(w, http.StatusServiceUnavailable, "analysis method %s is degraded (circuit open), retry later", m)
-		return
-	}
-	// As in handleAnalyze: a batch that records no run outcome (every
-	// item cache-served, or shed at admission) must hand back a
-	// half-open probe slot it may hold. Items record from worker
-	// goroutines, hence the atomic.
-	var recorded atomic.Bool
-	defer func() {
-		if !recorded.Load() {
-			s.brk.release(m.String())
-		}
-	}()
-
 	// One admission slot covers the whole batch; its internal fan-out is
 	// bounded separately by BatchWorkers.
 	release := s.admit()
@@ -480,28 +356,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	handled := make([]bool, n)
 	// Every item succeeds, fails or times out independently: the
 	// KeepGoing pool records per-index failures (including recovered
-	// panics) instead of cancelling siblings, and each item consumes its
-	// own retry budget for transient faults.
+	// panics) instead of cancelling siblings.
 	runner := &parallel.Runner{Workers: s.cfg.BatchWorkers, KeepGoing: true}
 	runErr := runner.RunContext(ctx, n, func(i int) error {
 		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(faultinject.SiteServeBatchItem, strconv.Itoa(i)); ferr != nil {
-				return ferr
-			}
+			faultinject.Fire(faultinject.SiteServeBatchItem, strconv.Itoa(i))
 		}
-		resp, _, retries, err := s.analyzeWithRetry(ctx, req.Systems[i], opt)
-		if err != nil || !resp.Cached {
-			s.brk.record(m.String(), isInternalFault(err))
-			recorded.Store(true)
+		key := canon.Key(req.Systems[i], opt)
+		resp, ok := s.lookup(key)
+		var err error
+		if !ok {
+			resp, err = s.analyzeOne(ctx, req.Systems[i], opt, key)
 		}
 		if err != nil {
 			code, _ := classifyError(err)
 			if code == errCodePanic {
 				s.met.recordItemPanic()
 			}
-			out.Results[i] = BatchItem{Error: itemErrorMessage(i, code, err), Code: code, Retries: retries}
+			out.Results[i] = BatchItem{Error: errorMessage("batch item", i, code, err), Code: code}
 		} else {
-			out.Results[i] = BatchItem{AnalyzeResponse: resp, Retries: retries}
+			out.Results[i] = BatchItem{AnalyzeResponse: resp}
 		}
 		handled[i] = true
 		return nil
@@ -529,15 +403,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if code == errCodePanic {
 			s.met.recordItemPanic()
 		}
-		// An internal fault surfacing at the task boundary consumes the
-		// error budget exactly like the same fault raised inside
-		// analyzeWithRetry. Items that never ran (deadline expired before
-		// dispatch) had no run outcome and feed nothing into the window.
-		if isInternalFault(ierr) {
-			s.brk.record(m.String(), true)
-			recorded.Store(true)
-		}
-		out.Results[i] = BatchItem{Error: itemErrorMessage(i, code, ierr), Code: code}
+		out.Results[i] = BatchItem{Error: errorMessage("batch item", i, code, ierr), Code: code}
 	}
 	for i := range out.Results {
 		if res := out.Results[i].AnalyzeResponse; res != nil {
@@ -569,27 +435,16 @@ func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	trips, shed := s.brk.counters()
 	writeJSON(w, http.StatusOK, s.met.snapshot(
 		len(s.sem), s.cfg.MaxInFlight,
 		s.results.Len(), s.cfg.ResultCacheSize,
 		s.engines.Len(), s.cfg.EngineCacheSize,
 		s.liveTelemetry(),
-		trips, shed, s.brk.openMethods(),
 	))
 }
 
-// handleHealthz reports liveness plus the degraded-readiness state of
-// the circuit breaker: while one or more methods are tripped the server
-// stays up (200) but flags itself degraded and names the shed methods,
-// so orchestration can distinguish "partially serving" from "dead"
-// (draining is still a 503 via the wrap gate).
+// handleHealthz reports liveness. A draining server never reaches it:
+// the wrap gate answers 503 first.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	open := s.brk.openMethods()
-	body := map[string]any{"ok": len(open) == 0}
-	if len(open) > 0 {
-		body["degraded"] = true
-		body["open_methods"] = open
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

@@ -27,12 +27,11 @@ type metrics struct {
 	lat  [latencyWindow]int64
 	latN int64 // total recorded, ring index = latN % latencyWindow
 	// Fault-containment counters: request-level recovered panics (500 +
-	// incident), per-batch-item recovered panics, and transient-fault
-	// retry attempts. Chaos tests reconcile these exactly against the
-	// fault injector's fired counts.
+	// incident) and per-batch-item (or what-if step) recovered panics.
+	// Chaos tests reconcile these exactly against the fault injector's
+	// fired counts.
 	panics     int64
 	itemPanics int64
-	retries    int64
 	// retired accumulates the telemetry of evicted engines so the
 	// aggregate at /metrics never shrinks when the engine pool rotates.
 	retired core.Telemetry
@@ -88,12 +87,6 @@ func (m *metrics) recordItemPanic() {
 	m.itemPanics++
 }
 
-func (m *metrics) recordRetry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
-}
-
 func (m *metrics) retire(tel core.Telemetry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -116,8 +109,7 @@ func percentile(sorted []int64, p int) int64 {
 // snapshot renders the counters into the wire form of GET /metrics.
 // liveTel is the summed telemetry of the engines currently in the pool;
 // the retired aggregate is added so evictions never lose counters.
-// breakerTrips/breakerShed/openMethods come from the circuit breaker.
-func (m *metrics) snapshot(inflight, maxInflight, cacheLen, cacheCap, engineLen, engineCap int, liveTel core.Telemetry, breakerTrips, breakerShed int64, openMethods []string) map[string]any {
+func (m *metrics) snapshot(inflight, maxInflight, cacheLen, cacheCap, engineLen, engineCap int, liveTel core.Telemetry) map[string]any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -167,12 +159,8 @@ func (m *metrics) snapshot(inflight, maxInflight, cacheLen, cacheCap, engineLen,
 			"capacity": engineCap,
 		},
 		"faults": map[string]any{
-			"panics":        m.panics,
-			"item_panics":   m.itemPanics,
-			"retries":       m.retries,
-			"breaker_trips": breakerTrips,
-			"breaker_shed":  breakerShed,
-			"breaker_open":  append([]string{}, openMethods...),
+			"panics":      m.panics,
+			"item_panics": m.itemPanics,
 		},
 		"latency_us": map[string]any{
 			"count": m.latN,

@@ -11,7 +11,7 @@
 //	                    incrementally on a delta-aware engine
 //	GET  /v1/methods  — the registered analyses and their safety
 //	GET  /metrics     — counters, cache hit ratio, latency percentiles
-//	GET  /healthz     — liveness (also reports draining state)
+//	GET  /healthz     — liveness; 503 while draining
 //
 // # Request lifecycle and production shape
 //
@@ -27,6 +27,18 @@
 // a context.Context into the engine's fixed-point loops; an expired
 // deadline aborts mid-iteration with 504. Shutdown stops admitting new
 // work (503) and drains in-flight analyses.
+//
+// # Fault containment
+//
+// The analysis is a deterministic fixed point: the same system yields
+// the same bound, or the same invariant-violation panic, every time, so
+// a failed analysis is never retried and no method is ever shed for its
+// failures. Faults are contained instead: core.Guard and the batch
+// worker pool recover panics into typed errors (500 with an incident ID,
+// or a per-item "panic" error that leaves sibling items intact), and the
+// handler middleware catches anything that escapes them. Admission
+// control and per-request deadlines bound what one client's work can
+// cost the others.
 //
 // # Concurrency
 //
@@ -51,7 +63,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wormnoc/internal/canon"
 	"wormnoc/internal/core"
 	"wormnoc/internal/faultinject"
 	"wormnoc/internal/traffic"
@@ -84,26 +95,6 @@ type Config struct {
 	MaxWhatIfDeltas int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// ItemRetries bounds how often one analysis unit (a request, or one
-	// batch item) is retried after a *transient* fault (errors exposing
-	// Transient() true, e.g. injected faults). Permanent errors —
-	// invalid systems, deadline expiries, panics — are never retried.
-	// Default 2; negative disables retries.
-	ItemRetries int
-	// RetryBackoff is the base backoff before the first retry, doubled
-	// per attempt and jittered ±50% to avoid retry synchronisation.
-	// Default 2ms.
-	RetryBackoff time.Duration
-	// BreakerWindow is the per-method sliding window of recent run
-	// outcomes the circuit breaker inspects. Default 64.
-	BreakerWindow int
-	// BreakerThreshold trips a method's breaker when at least this many
-	// internal faults (panics, core.InternalError, transient faults)
-	// sit in its window. Default 16.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped method sheds before a probe
-	// request is let through. Default 15s.
-	BreakerCooldown time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -131,24 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxWhatIfDeltas <= 0 {
 		c.MaxWhatIfDeltas = 256
 	}
-	if c.ItemRetries == 0 {
-		c.ItemRetries = 2
-	}
-	if c.ItemRetries < 0 {
-		c.ItemRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 64
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 16
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 15 * time.Second
-	}
 	return c
 }
 
@@ -160,7 +133,6 @@ type Server struct {
 	engines  *lruCache[*core.Engine]
 	sem      chan struct{}
 	met      *metrics
-	brk      *breaker
 	mux      *http.ServeMux
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -186,7 +158,6 @@ func New(cfg Config) *Server {
 		s.met.retire(e.Telemetry())
 	})
 	s.sem = make(chan struct{}, s.cfg.MaxInFlight)
-	s.brk = newBreaker(s.cfg.BreakerWindow, s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/analyze", s.wrap("analyze", true, s.handleAnalyze))
@@ -313,13 +284,13 @@ func (s *Server) admit() (release func()) {
 	}
 }
 
-// engine returns the warm engine for the document's system, building
-// (and caching) system + interference sets on first sight. Construction
-// runs behind core.Guard, so a panic while building the
-// interference sets of an adversarial system surfaces as a typed
-// *core.InternalError and never leaves a nil engine in the pool.
-func (s *Server) engine(ctx context.Context, doc traffic.Document) (*core.Engine, error) {
-	key := canon.SystemKey(doc)
+// engine returns the warm engine for the document's system, pooled
+// under key (the document's canon.SystemKey), building system +
+// interference sets on first sight. Construction runs behind
+// core.Guard, so a panic while building the interference sets of an
+// adversarial system surfaces as a typed *core.InternalError and never
+// leaves a nil engine in the pool.
+func (s *Server) engine(doc traffic.Document, key string) (*core.Engine, error) {
 	if e, ok := s.engines.Get(key); ok && e != nil {
 		return e, nil
 	}
@@ -329,9 +300,7 @@ func (s *Server) engine(ctx context.Context, doc traffic.Document) (*core.Engine
 		return e, nil
 	}
 	if faultinject.Enabled() {
-		if err := faultinject.Fire(faultinject.SiteServeEngineBuild, key); err != nil {
-			return nil, err
-		}
+		faultinject.Fire(faultinject.SiteServeEngineBuild, key)
 	}
 	sys, err := doc.System()
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"wormnoc/internal/canon"
+	"wormnoc/internal/core"
 	"wormnoc/internal/traffic"
 	"wormnoc/internal/workload"
 )
@@ -94,8 +96,13 @@ func TestAnalyzeDidactic(t *testing.T) {
 	if len(out.Flows) != 3 || out.Flows[2].R != 348 || out.Flows[2].Status != "schedulable" {
 		t.Fatalf("didactic bounds wrong: %+v", out.Flows)
 	}
-	if out.Key == "" {
-		t.Fatal("response carries no cache key")
+	// Both keys are the canonical hashes of the request, computed once.
+	doc := didacticDoc()
+	if want := canon.Key(doc, core.Options{Method: core.IBN}); out.Key != want {
+		t.Fatalf("key = %q, want canon.Key %q", out.Key, want)
+	}
+	if want := canon.SystemKey(doc); out.SystemKey != want {
+		t.Fatalf("system_key = %q, want canon.SystemKey %q", out.SystemKey, want)
 	}
 }
 
@@ -326,6 +333,12 @@ func TestBatch(t *testing.T) {
 	// must match the didactic XLWX values anyway (R(τ3) = 460).
 	if r := out.Results[1].Flows[2].R; r != 460 {
 		t.Fatalf("batch XLWX R(τ3) = %d, want 460", r)
+	}
+	if got, want := out.Results[1].Key, canon.Key(other, core.Options{Method: core.XLWX}); got != want {
+		t.Fatalf("batch item key = %q, want canon.Key %q", got, want)
+	}
+	if got, want := out.Results[1].SystemKey, canon.SystemKey(other); got != want {
+		t.Fatalf("batch item system_key = %q, want canon.SystemKey %q", got, want)
 	}
 	if out.Results[2].AnalyzeResponse != nil || out.Results[2].Error == "" {
 		t.Fatalf("invalid system did not error: %+v", out.Results[2])

@@ -3,15 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"log"
 	"net/http"
-	"strconv"
 	"time"
 
 	"wormnoc/internal/canon"
 	"wormnoc/internal/core"
-	"wormnoc/internal/faultinject"
 	"wormnoc/internal/noc"
 	"wormnoc/internal/traffic"
 )
@@ -130,17 +126,6 @@ type WhatIfResponse struct {
 	WarmAccepted    int64 `json:"warm_accepted,omitempty"`
 }
 
-// whatifErrorMessage renders a step failure for the wire, redacting
-// panic-coded faults exactly like batch items do.
-func whatifErrorMessage(i int, code string, err error) string {
-	if code != errCodePanic {
-		return err.Error()
-	}
-	id := incidentID()
-	log.Printf("serve: whatif step %d fault (incident %s): %v", i, id, err)
-	return fmt.Sprintf("internal error (incident %s)", id)
-}
-
 // handleWhatIf evaluates an edit chain against a base system on one
 // request-local core.Incremental. The engine is derived from the warm
 // per-system Engine (shared immutable interference sets, so a whatif
@@ -148,8 +133,8 @@ func whatifErrorMessage(i int, code string, err error) string {
 // cached under a chained canonical key (canon.DeltaKey), and a step
 // whose key hits the result cache applies its delta without
 // re-analysing — the pending invalidation simply accumulates into the
-// next analysed step. Admission, the per-method circuit breaker,
-// fault injection and the request deadline apply as for /v1/analyze.
+// next analysed step. Admission and the request deadline apply as for
+// /v1/analyze.
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
@@ -174,20 +159,6 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opt := req.Options.toCore(m)
-
-	// The breaker gates the whole chain: one method, one verdict, as for
-	// a batch. Steps record their run outcomes individually below.
-	if !s.brk.allow(m.String()) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown/time.Second)+1))
-		writeError(w, http.StatusServiceUnavailable, "analysis method %s is degraded (circuit open), retry later", m)
-		return
-	}
-	recorded := false
-	defer func() {
-		if !recorded {
-			s.brk.release(m.String())
-		}
-	}()
 
 	// One admission slot covers the whole chain.
 	release := s.admit()
@@ -216,14 +187,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		doc = e.System().ToDocument()
 	} else {
 		doc = *req.System
-		e, err := s.engine(ctx, doc)
+		e, err := s.engine(doc, canon.SystemKey(doc))
 		if err != nil {
-			if isInternalFault(err) {
-				s.brk.record(m.String(), true)
-				recorded = true
-			}
 			code, status := classifyError(err)
-			writeError(w, status, "%s", whatifErrorMessage(-1, code, err))
+			writeError(w, status, "%s", errorMessage("whatif step", -1, code, err))
 			return
 		}
 		eng = e
@@ -241,94 +208,36 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// The delta itself is bad (or applying it faulted): the chain
 			// stops here with the failure recorded in this step.
-			if isInternalFault(err) {
-				s.brk.record(m.String(), true)
-				recorded = true
-			}
 			code, _ := classifyError(err)
-			step.Error, step.Code = whatifErrorMessage(i, code, err), code
+			step.Error, step.Code = errorMessage("whatif step", i, code, err), code
 			resp.Steps = append(resp.Steps, step)
 			resp.Failed = 1
 			break
 		}
 		prevKey = canon.DeltaKey(prevKey, d)
 
-		cacheOK := true
-		if faultinject.Enabled() {
-			if ferr := faultinject.Fire(faultinject.SiteServeCacheGet, prevKey); ferr != nil {
-				cacheOK = false
-			}
-		}
-		if cacheOK {
-			if cached, ok := s.results.Get(prevKey); ok {
-				s.met.recordCache(true)
-				hit := *cached
-				hit.Cached = true
-				step.AnalyzeResponse = &hit
-				resp.Steps = append(resp.Steps, step)
-				resp.CacheHits++
-				continue
-			}
+		if hit, ok := s.lookup(prevKey); ok {
+			step.AnalyzeResponse = hit
+			resp.Steps = append(resp.Steps, step)
+			resp.CacheHits++
+			continue
 		}
 		s.met.recordCache(false)
 
 		t0 := time.Now()
-		var res *core.Result
-		for attempt := 0; ; attempt++ {
-			res, err = inc.Analyze(ctx, opt)
-			if err == nil || attempt >= s.cfg.ItemRetries || !isTransient(err) || ctx.Err() != nil {
-				break
-			}
-			t := time.NewTimer(retryDelay(s.cfg.RetryBackoff, attempt))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-			case <-t.C:
-				s.met.recordRetry()
-			}
-		}
-		s.brk.record(m.String(), isInternalFault(err))
-		recorded = true
+		res, err := inc.Analyze(ctx, opt)
 		if err != nil {
 			code, _ := classifyError(err)
 			if code == errCodePanic {
 				s.met.recordItemPanic()
 			}
-			step.Error, step.Code = whatifErrorMessage(i, code, err), code
+			step.Error, step.Code = errorMessage("whatif step", i, code, err), code
 			resp.Steps = append(resp.Steps, step)
 			resp.Failed = 1
 			break
 		}
-		sys := inc.System()
-		out := &AnalyzeResponse{
-			Method:      opt.Method.String(),
-			Schedulable: res.Schedulable,
-			Flows:       make([]FlowResult, sys.NumFlows()),
-			Key:         prevKey,
-			ElapsedUs:   time.Since(t0).Microseconds(),
-		}
-		for j := range out.Flows {
-			f := sys.Flow(j)
-			out.Flows[j] = FlowResult{
-				Name:     f.Name,
-				Priority: f.Priority,
-				C:        int64(sys.C(j)),
-				Deadline: int64(f.Deadline),
-				R:        int64(res.Flows[j].R),
-				Status:   res.Flows[j].Status.String(),
-			}
-		}
-		if cacheOK {
-			putOK := true
-			if faultinject.Enabled() {
-				if ferr := faultinject.Fire(faultinject.SiteServeCachePut, prevKey); ferr != nil {
-					putOK = false
-				}
-			}
-			if putOK {
-				s.results.Put(prevKey, out)
-			}
-		}
+		out := newResponse(inc.System(), res, opt.Method, prevKey, time.Since(t0))
+		s.results.Put(prevKey, out)
 		step.AnalyzeResponse = out
 		resp.Steps = append(resp.Steps, step)
 	}
