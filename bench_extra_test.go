@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"wormnoc/internal/core"
-	"wormnoc/internal/exp"
-	"wormnoc/internal/mapopt"
 	"wormnoc/internal/noc"
 	"wormnoc/internal/priority"
 	"wormnoc/internal/sim"
@@ -26,23 +24,6 @@ func BenchmarkSLA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.NewEngineWithSets(sys, sets).Analyze(core.Options{Method: core.SLA}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTightness measures the per-flow tightness study at bench
-// scale.
-func BenchmarkTightness(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunTightness(exp.TightnessConfig{
-			Width: 4, Height: 4,
-			FlowCounts:   []int{200},
-			SetsPerPoint: 4,
-			Seed:         int64(i),
-			Workers:      1,
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,23 +77,6 @@ func BenchmarkAudsley(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := priority.Audsley(topo, sys.Flows(), core.Options{Method: core.IBN}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMappingOptimizer measures the annealing search with the IBN
-// oracle on the AV benchmark.
-func BenchmarkMappingOptimizer(b *testing.B) {
-	topo := noc.MustMesh(4, 4, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
-	g := mapopt.AVGraph()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mapopt.Optimize(g, topo, mapopt.Config{
-			Analysis:   core.Options{Method: core.IBN, BufDepth: 2},
-			Iterations: 50,
-			Seed:       int64(i),
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,10 +13,7 @@ import (
 	"strings"
 	"time"
 
-	"wormnoc/internal/core"
 	"wormnoc/internal/exp"
-	"wormnoc/internal/mapopt"
-	"wormnoc/internal/noc"
 )
 
 func main() {
@@ -26,17 +23,10 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 		csvPath  = flag.String("csv", "", "also write CSV to this file")
 		topos    = flag.String("topos", "", "comma list of WxH shapes (default: the 26 of Figure 5)")
-		optimize = flag.Bool("optimize", false, "run the mapping optimizer per topology (IBN vs XLWX oracle) instead of random sampling")
-		iters    = flag.Int("iters", 1500, "optimizer iteration budget (with -optimize)")
 		verbose  = flag.Bool("v", false, "print task progress to stderr")
 		stats    = flag.Bool("stats", false, "print analysis-engine telemetry after the run")
 	)
 	flag.Parse()
-
-	if *optimize {
-		runOptimize(*topos, *seed, *iters)
-		return
-	}
 
 	runner := &exp.Runner{Workers: *workers}
 	if *verbose {
@@ -82,67 +72,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("CSV written to %s\n", *csvPath)
-	}
-}
-
-// runOptimize searches for a certified AV mapping on each topology with
-// the simulated-annealing optimizer, once per oracle, and reports how
-// many analysis evaluations each oracle needed to find a feasible
-// mapping — the design-space-exploration payoff of the tighter analysis.
-func runOptimize(topos string, seed int64, iters int) {
-	shapes := [][2]int{{2, 2}, {3, 3}, {4, 4}, {5, 5}}
-	if topos != "" {
-		shapes = nil
-		for _, t := range strings.Split(topos, ",") {
-			parts := strings.Split(strings.TrimSpace(t), "x")
-			if len(parts) != 2 {
-				fatal(fmt.Errorf("bad topology %q, want WxH", t))
-			}
-			w, err1 := strconv.Atoi(parts[0])
-			h, err2 := strconv.Atoi(parts[1])
-			if err1 != nil || err2 != nil {
-				fatal(fmt.Errorf("bad topology %q", t))
-			}
-			shapes = append(shapes, [2]int{w, h})
-		}
-	}
-	oracles := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"XLWX", core.Options{Method: core.XLWX}},
-		{"IBN2", core.Options{Method: core.IBN, BufDepth: 2}},
-	}
-	g := mapopt.AVGraph()
-	fmt.Println("mapping optimisation of the AV benchmark (evaluations to first certified mapping)")
-	fmt.Printf("%8s", "topology")
-	for _, o := range oracles {
-		fmt.Printf(" %16s", o.name)
-	}
-	fmt.Println()
-	for _, wh := range shapes {
-		topo, err := noc.NewMesh(wh[0], wh[1], noc.RouterConfig{BufDepth: 2, LinkLatency: 1, RouteLatency: 0})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%8s", fmt.Sprintf("%dx%d", wh[0], wh[1]))
-		for _, o := range oracles {
-			res, err := mapopt.Optimize(g, topo, mapopt.Config{
-				Analysis:          o.opt,
-				Iterations:        iters,
-				Seed:              seed,
-				StopWhenScheduled: true,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			if res.Schedulable {
-				fmt.Printf(" %16s", fmt.Sprintf("found@%d", res.Evaluations))
-			} else {
-				fmt.Printf(" %16s", fmt.Sprintf("none(%d)", res.Evaluations))
-			}
-		}
-		fmt.Println()
 	}
 }
 

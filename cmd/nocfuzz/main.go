@@ -4,9 +4,16 @@
 // search, shrinks any invariant violation to a minimal counterexample
 // and persists it as a replayable JSON artifact.
 //
+// run ends with a per-analysis table: how many attacked flow bounds each
+// analysis lost to the simulator and by how much. With -gen mpb it
+// draws MPB-prone scenarios (oracle.MPBGen: long packets, tight
+// periods), the hunt that catches SB and SLA being optimistic while
+// XLWX and IBN survive — the paper's closing claim made executable.
+//
 // Usage:
 //
 //	nocfuzz run -n 400 -seed 1 -out counterexamples   # fuzz 400 scenarios
+//	nocfuzz run -gen mpb -n 120 -duration 80000 -restarts 3 -keep-going
 //	nocfuzz replay -in counterexamples/ce-000012.json # re-check one artifact
 //	nocfuzz corpus -n 16 -out internal/oracle/testdata/fuzz/FuzzOracleScenario
 //
@@ -25,8 +32,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
+	"wormnoc/internal/core"
 	"wormnoc/internal/exhaustive"
 	"wormnoc/internal/noc"
 	"wormnoc/internal/oracle"
@@ -56,9 +65,10 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  nocfuzz run     [-n N] [-seed S] [-out DIR] [-duration D] [-restarts R]
-                  [-probes P] [-refine K] [-workers W] [-scenario-workers SW]
-                  [-keep-going] [-v] [-cpuprofile FILE] [-memprofile FILE]
+  nocfuzz run     [-n N] [-seed S] [-out DIR] [-gen default|mpb]
+                  [-duration D] [-restarts R] [-probes P] [-refine K]
+                  [-workers W] [-scenario-workers SW] [-keep-going] [-v]
+                  [-cpuprofile FILE] [-memprofile FILE]
   nocfuzz exhaust [-n N] [-seed S] [-out DIR] [-mesh M] [-flows F]
                   [-jitter J] [-workers W] [-budget STATES] [-timeout DUR]
                   [-duration D] [-reduce all|none|symmetry|clusters]
@@ -68,7 +78,11 @@ func usage() {
   nocfuzz corpus  [-n N] [-seed S] -out DIR
 
 run     generates N scenarios from S, checks every invariant, shrinks
-        violations and writes one artifact per violating scenario to DIR.
+        violations and writes one artifact per violating scenario to DIR,
+        then tabulates, per analysis, the attacked bounds the simulator
+        exceeded. -gen mpb draws MPB-prone scenarios (long packets,
+        tight periods, no jitter); run it with -duration 80000 to catch
+        SB and SLA being optimistic.
 exhaust generates N deliberately tiny scenarios (mesh dims <= M, <= F
         flows, short periods) and model-checks each with the explicit-
         state backend: the full release-phasing grid is enumerated and
@@ -104,6 +118,7 @@ func cmdRun(args []string) {
 		n          = fs.Int("n", 100, "number of scenarios to check")
 		seed       = fs.Int64("seed", 1, "root seed; scenario i uses a seed derived from it")
 		out        = fs.String("out", "counterexamples", "directory for counterexample artifacts")
+		genName    = fs.String("gen", "default", "scenario generator: default or mpb (MPB-prone: long packets, tight periods)")
 		duration   = fs.Int64("duration", 12_000, "simulation horizon per phasing probe, cycles")
 		restarts   = fs.Int("restarts", 2, "random restarts per phasing search")
 		probes     = fs.Int("probes", 4, "probes per flow and restart")
@@ -116,6 +131,15 @@ func cmdRun(args []string) {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	fs.Parse(args)
+	var gen oracle.GenConfig
+	switch *genName {
+	case "default":
+	case "mpb":
+		gen = oracle.MPBGen()
+	default:
+		fmt.Fprintf(os.Stderr, "nocfuzz: unknown -gen %q (want default or mpb)\n\n", *genName)
+		usage()
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -126,10 +150,12 @@ func cmdRun(args []string) {
 	// errStop cancels the campaign after the first violating scenario
 	// (default mode); it is not a failure of the campaign machinery.
 	errStop := errors.New("stop after violation")
-	var mu sync.Mutex // serialises shrinking, artifact writes and output
+	var mu sync.Mutex // serialises shrinking, artifact writes, the tally and output
+	tally := newHuntTally()
 	stats, err := oracle.Campaign(oracle.CampaignConfig{
 		Scenarios: *n,
 		Seed:      *seed,
+		Gen:       gen,
 		Check: oracle.CheckConfig{
 			Duration:      noc.Cycles(*duration),
 			Restarts:      *restarts,
@@ -141,6 +167,7 @@ func cmdRun(args []string) {
 	}, func(i int, sc *oracle.Scenario, ccfg oracle.CheckConfig, rep *oracle.Report) error {
 		mu.Lock()
 		defer mu.Unlock()
+		tally.add(rep)
 		if *verbose {
 			fmt.Printf("[%d/%d] %s: %d violations, %d findings, %d sim runs\n",
 				i+1, *n, sc, len(rep.Violations), len(rep.Findings), rep.SimRuns)
@@ -185,10 +212,61 @@ func cmdRun(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("%d scenarios checked, %d sim runs, %d violations\n", stats.Checked, stats.SimRuns, stats.Violations)
+	fmt.Print(tally.table())
 	if stats.Violations > 0 {
 		stopProf()
 		os.Exit(3)
 	}
+}
+
+// huntMethods are the rows of run's summary table: the pre-MPB
+// analyses first, then the two the paper claims are safe.
+var huntMethods = []core.Method{core.SB, core.SLA, core.XLWX, core.IBN}
+
+// huntTally aggregates, per analysis, the attacked flow bounds the
+// phasing search exceeded: KnownOptimism findings for SB/SLA, "sim<="
+// violations for XLWX/IBN.
+type huntTally struct {
+	flows    int
+	exceeded map[core.Method]int
+	excess   map[core.Method]noc.Cycles
+}
+
+func newHuntTally() *huntTally {
+	return &huntTally{exceeded: map[core.Method]int{}, excess: map[core.Method]noc.Cycles{}}
+}
+
+func (t *huntTally) add(rep *oracle.Report) {
+	t.flows += rep.FlowsAttacked
+	count := func(v oracle.Violation) {
+		if v.Invariant != "sim<="+v.Method.String() {
+			return
+		}
+		t.exceeded[v.Method]++
+		if ex := v.Observed - v.Bound; ex > t.excess[v.Method] {
+			t.excess[v.Method] = ex
+		}
+	}
+	for _, v := range rep.Findings {
+		count(v)
+	}
+	for _, v := range rep.Violations {
+		count(v)
+	}
+}
+
+func (t *huntTally) table() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counter-example hunt: %d flow bounds attacked\n", t.flows)
+	fmt.Fprintf(&b, "%8s %12s %14s %12s\n", "analysis", "violations", "worst excess", "verdict")
+	for _, m := range huntMethods {
+		verdict := "SAFE so far"
+		if t.exceeded[m] > 0 {
+			verdict = "OPTIMISTIC"
+		}
+		fmt.Fprintf(&b, "%8s %12d %14d %12s\n", m, t.exceeded[m], t.excess[m], verdict)
+	}
+	return b.String()
 }
 
 // gapRow is one scenario-flow line of the exhaust gap report.

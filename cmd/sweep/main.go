@@ -37,7 +37,6 @@ func main() {
 		workers = flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 		csvPath = flag.String("csv", "", "also write CSV to this file")
 		buffers = flag.Bool("buffers", false, "run the buffer-size ablation instead of Figure 4")
-		tight   = flag.Bool("tightness", false, "run the per-flow bound-tightness study instead of Figure 4")
 		avgcase = flag.Bool("avgcase", false, "run the average-case-vs-guarantee buffer study instead of Figure 4")
 		chart   = flag.Bool("chart", false, "also render the sweep as an ASCII line chart (the paper's figure style)")
 		variant = flag.String("variant", "", "extra IBN ablation column: eq7 or nofallback")
@@ -88,23 +87,6 @@ func main() {
 			Synth:     synth,
 			Seed:      *seed,
 			Runner:    runner,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Table())
-		printStats(*stats, res.Telemetry)
-		fmt.Printf("elapsed: %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *tight {
-		res, err := exp.RunTightness(exp.TightnessConfig{
-			Width: w, Height: h,
-			FlowCounts:   counts,
-			SetsPerPoint: *sets,
-			Synth:        synth,
-			Seed:         *seed,
-			Runner:       runner,
 		})
 		if err != nil {
 			fatal(err)

@@ -85,8 +85,6 @@ type IncStats struct {
 	// accepted; WarmFallbacks counts warm starts redone cold (outcome
 	// not Schedulable, or cold convergence within the cap not provable).
 	WarmAccepted, WarmFallbacks int64
-	// Rollbacks counts Rollback calls.
-	Rollbacks int64
 }
 
 // stateKey identifies one analysis configuration (normalised Options).
@@ -116,7 +114,7 @@ type incState struct {
 	// last analysis; partial passes update it in place.
 	ar *arena
 	// res is the last published Result. Never mutated in place, so it
-	// can be shared with callers and snapshots; nil when the flow count
+	// can be shared with callers; nil when the flow count
 	// changed since it was built.
 	res *Result
 	// affected is the pending frontier: flows to re-analyse.
@@ -139,27 +137,6 @@ func (st *incState) reset() {
 	st.flush = false
 }
 
-func (st *incState) clone() *incState {
-	c := &incState{opt: st.opt, res: st.res, warm: st.warm, flush: st.flush, full: st.full}
-	c.affected = make(map[int]bool, len(st.affected))
-	for i := range st.affected {
-		c.affected[i] = true
-	}
-	if st.ar != nil {
-		c.ar = &arena{
-			R:         append([]noc.Cycles(nil), st.ar.R...),
-			status:    append([]FlowStatus(nil), st.ar.status...),
-			analyzed:  append([]bool(nil), st.ar.analyzed...),
-			flowNanos: append([]int64(nil), st.ar.flowNanos...),
-			xlwxVal:   append([]noc.Cycles(nil), st.ar.xlwxVal...),
-			ibnVal:    append([]noc.Cycles(nil), st.ar.ibnVal...),
-			xlwxSet:   append([]bool(nil), st.ar.xlwxSet...),
-			ibnSet:    append([]bool(nil), st.ar.ibnSet...),
-		}
-	}
-	return c
-}
-
 // NewIncremental builds the interference sets of the system and returns
 // a delta-aware engine over them.
 func NewIncremental(sys *traffic.System) *Incremental {
@@ -179,15 +156,6 @@ func (inc *Incremental) Sets() *Sets { return inc.sets }
 
 // Stats returns a snapshot of the engine's counters.
 func (inc *Incremental) Stats() IncStats { return inc.stats }
-
-// Reset replaces the engine's system wholesale, discarding every cached
-// state — the escape hatch for edits that cannot be expressed as deltas
-// (e.g. a mapping optimiser candidate with a different flow set).
-func (inc *Incremental) Reset(sys *traffic.System) {
-	inc.sys = sys
-	inc.sets = BuildSets(sys)
-	inc.states = make(map[stateKey]*incState)
-}
 
 // Apply applies the edits in order. Each delta is atomic: an invalid
 // delta returns an error naming its position with the preceding deltas
@@ -554,40 +522,4 @@ func (inc *Incremental) runPartial(ctx context.Context, st *incState) error {
 	}
 	inc.stats.PartialRuns++
 	return nil
-}
-
-// IncSnapshot is an immutable checkpoint of an Incremental: the system,
-// sets, and every configuration's converged state at Snapshot time.
-type IncSnapshot struct {
-	sys    *traffic.System
-	sets   *Sets
-	states map[stateKey]*incState
-}
-
-// System returns the snapshotted system.
-func (s *IncSnapshot) System() *traffic.System { return s.sys }
-
-// Snapshot checkpoints the engine's current state. Snapshots are cheap
-// relative to analysis (a copy of the per-flow arrays and memos per
-// cached configuration) and independent of later edits, enabling
-// edit-tree exploration: snapshot, apply a branch of deltas, analyse,
-// roll back, try the next branch.
-func (inc *Incremental) Snapshot() *IncSnapshot {
-	states := make(map[stateKey]*incState, len(inc.states))
-	for k, st := range inc.states {
-		states[k] = st.clone()
-	}
-	return &IncSnapshot{sys: inc.sys, sets: inc.sets, states: states}
-}
-
-// Rollback restores the engine to a snapshot's state. The snapshot
-// remains valid and can be rolled back to again (the engine takes
-// copies, not ownership).
-func (inc *Incremental) Rollback(s *IncSnapshot) {
-	inc.sys, inc.sets = s.sys, s.sets
-	inc.states = make(map[stateKey]*incState, len(s.states))
-	for k, st := range s.states {
-		inc.states[k] = st.clone()
-	}
-	inc.stats.Rollbacks++
 }

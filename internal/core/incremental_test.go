@@ -228,54 +228,6 @@ func TestIncrementalDependencyPropagation(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotRollback: snapshot → edit branch → rollback
-// round-trips restore bit-identical results, and a snapshot survives
-// being rolled back to more than once (edit-tree exploration).
-func TestIncrementalSnapshotRollback(t *testing.T) {
-	sys := randomSystem(t, 99, 24)
-	inc := core.NewIncremental(sys)
-	base := make(map[core.Method]*core.Result)
-	for _, opt := range allOptions {
-		res, err := inc.Analyze(context.Background(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.BufDepth == 0 {
-			base[opt.Method] = res
-		}
-	}
-	snap := inc.Snapshot()
-
-	for branch := int64(0); branch < 3; branch++ {
-		deltas, edited, err := oracle.RandomDeltas(1000+branch, inc.System(), 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Apply(deltas...); err != nil {
-			t.Fatalf("branch %d: %v", branch, err)
-		}
-		if !checkStep(t, "branch", inc, edited) {
-			t.FailNow()
-		}
-		inc.Rollback(snap)
-		if inc.System() != snap.System() {
-			t.Fatalf("branch %d: rollback did not restore the system", branch)
-		}
-		for _, opt := range allOptions {
-			res, err := inc.Analyze(context.Background(), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if opt.BufDepth == 0 {
-				requireSameResult(t, "rollback "+opt.Method.String(), res, base[opt.Method])
-			}
-		}
-	}
-	if st := inc.Stats(); st.Rollbacks != 3 {
-		t.Errorf("Rollbacks = %d, want 3", st.Rollbacks)
-	}
-}
-
 // TestIncrementalCachedResult: with no pending edits, Analyze serves the
 // previous result without re-analysing anything.
 func TestIncrementalCachedResult(t *testing.T) {

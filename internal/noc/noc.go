@@ -172,13 +172,6 @@ type RouterConfig struct {
 	RouteLatency Cycles
 }
 
-// DefaultRouterConfig mirrors the configuration used by the paper's
-// didactic example: single-cycle links, combinational routing and 2-flit
-// virtual-channel buffers.
-func DefaultRouterConfig() RouterConfig {
-	return RouterConfig{BufDepth: 2, NumVCs: 0, LinkLatency: 1, RouteLatency: 0}
-}
-
 // Validate reports whether the configuration is usable.
 func (c RouterConfig) Validate() error {
 	switch {

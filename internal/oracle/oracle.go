@@ -90,6 +90,17 @@ type GenConfig struct {
 	MaxJitter noc.Cycles
 }
 
+// MPBGen is the generator preset of the MPB-prone counterexample hunt
+// (`nocfuzz run -gen mpb`): longer packets (16..320 flits) against
+// tighter periods (600..15_000 cycles) and no release jitter. Default
+// scenarios almost never make SB or SLA optimistic (none in 1,000 at
+// seed 1, nor in 120 at an 80_000-cycle horizon); these do at that
+// horizon (SB once and SLA twice in 120), while XLWX and IBN face the
+// same attack.
+func MPBGen() GenConfig {
+	return GenConfig{PeriodMin: 600, PeriodMax: 15_000, LenMin: 16, LenMax: 320, JitterProb: -1}
+}
+
 func (c *GenConfig) setDefaults() {
 	if c.MaxDim <= 0 {
 		c.MaxDim = 4

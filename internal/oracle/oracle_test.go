@@ -256,3 +256,38 @@ func TestEngineDivergencesCompareWholeResults(t *testing.T) {
 		t.Errorf("violation detail %q does not name the reused engine and MaxOccupancy", v[0].Detail)
 	}
 }
+
+// TestMPBGenExposesSBAndSLA pins the MPB-prone hunt (`nocfuzz run -gen
+// mpb`): scenario 84 of the seed-1 campaign is a multi-point
+// progressive blocking case the attack catches SB and SLA out on — both
+// classified as KnownOptimism on the same flow — while XLWX and IBN
+// survive it. The verdict is independent of the check's worker count.
+func TestMPBGenExposesSBAndSLA(t *testing.T) {
+	s := DeriveSeed(1, 84)
+	sc := Generate(s, MPBGen())
+	for _, workers := range []int{1, 0} {
+		rep, err := Check(sc, CheckConfig{Seed: s, Duration: 80_000, Restarts: 3,
+			ProbesPerFlow: 4, RefineSteps: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("workers=%d: unexpected violation %s", workers, v)
+		}
+		want := []struct {
+			m               core.Method
+			observed, bound noc.Cycles
+		}{{core.SB, 755, 716}, {core.SLA, 755, 701}}
+		if len(rep.Findings) != len(want) {
+			t.Fatalf("workers=%d: %d findings, want %d: %v", workers, len(rep.Findings), len(want), rep.Findings)
+		}
+		for i, w := range want {
+			f := rep.Findings[i]
+			if f.Class != KnownOptimism || f.Method != w.m || f.Flow != 2 ||
+				f.Observed != w.observed || f.Bound != w.bound {
+				t.Errorf("workers=%d: finding %d = %s (observed %d, bound %d), want %s on flow 2 with %d > %d",
+					workers, i, f, f.Observed, f.Bound, w.m, w.observed, w.bound)
+			}
+		}
+	}
+}
