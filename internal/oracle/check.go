@@ -374,6 +374,9 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 		}
 	}
 	attacks := make([]attack, sys.NumFlows())
+	// Every search of the scenario, the in-class comparison searches
+	// included, shares one busy-period table (DESIGN.md §10).
+	table := new(sim.BusyPeriodTable)
 	search := sim.SearchWorstCase
 	if cfg.search != nil {
 		search = cfg.search
@@ -409,6 +412,7 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 			// stacking a third pool on the same cores.
 			Workers: 1,
 			Rand:    rand.New(rand.NewSource(DeriveSeed(cfg.Seed, int64(target)*2))),
+			Table:   table,
 		})
 		if err != nil {
 			return err
@@ -490,7 +494,7 @@ func Check(sc *Scenario, cfg CheckConfig) (*Report, error) {
 	// holding the declared-safe bounds to the true worst case
 	// (exhaustive<=IBN<=XLWX, plus censor-freedom).
 	if cfg.ExhaustiveStates > 0 {
-		vs, er, notes, runs, err := checkExhaustive(sys, results, cfg, bound)
+		vs, er, notes, runs, err := checkExhaustive(sys, results, cfg, bound, table)
 		if err != nil {
 			return nil, err
 		}

@@ -89,10 +89,11 @@ type ExhaustiveReport struct {
 // bound even though the unfinished packet reports no latency). The
 // exhaustive class is jitter-free, so the comparison search runs with
 // jitter injection off; scenario jitter only widens the analytic
-// bounds, keeping the chain sound. Returns a nil report with a note
-// when the scenario is out of the backend's reach.
+// bounds, keeping the chain sound; its searches walk table, the
+// check's busy-period table. Returns a nil report with a note when the
+// scenario is out of the backend's reach.
 func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, cfg CheckConfig,
-	bound func(core.Method, int, noc.Cycles) noc.Cycles) ([]Violation, *ExhaustiveReport, []string, int, error) {
+	bound func(core.Method, int, noc.Cycles) noc.Cycles, table *sim.BusyPeriodTable) ([]Violation, *ExhaustiveReport, []string, int, error) {
 
 	sp, err := exhaustive.Plan(sys)
 	if err != nil {
@@ -149,6 +150,7 @@ func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, 
 			ProbesPerFlow: cfg.ProbesPerFlow,
 			Workers:       1,
 			Rand:          rand.New(rand.NewSource(DeriveSeed(cfg.Seed, exhaustiveSearchStream+int64(i)))),
+			Table:         table,
 		})
 		if err != nil {
 			return nil, nil, nil, simRuns, fmt.Errorf("oracle: in-class comparison search: %w", err)

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -340,7 +341,7 @@ func TestExhaustiveCensorShiftStillViolates(t *testing.T) {
 		res.Flows[flow] = core.FlowResult{R: d, Status: core.Schedulable}
 		results[m] = res
 	}
-	vs, rep, _, _, err := checkExhaustive(sys, results, cfg, func(_ core.Method, _ int, r noc.Cycles) noc.Cycles { return r })
+	vs, rep, _, _, err := checkExhaustive(sys, results, cfg, func(_ core.Method, _ int, r noc.Cycles) noc.Cycles { return r }, new(sim.BusyPeriodTable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +362,37 @@ func TestExhaustiveCensorShiftStillViolates(t *testing.T) {
 	}
 	if fired["exhaustive-censor-free"] {
 		t.Fatalf("censor-free invariant fired on a flow the cut reports uncensored; violations: %v", vs)
+	}
+}
+
+// Every search of a check shares one busy-period table, the attack's
+// searches concurrently when Workers > 1. The table changes how probes
+// are computed, never what they observe, so on `nocfuzz exhaust`-style
+// scenarios checked with the prove budget the whole report must not
+// depend on the worker count.
+func TestCheckSharedTableDeterministic(t *testing.T) {
+	gen := GenConfig{MaxDim: 2, MaxFlows: 3, MaxBuf: 4, MaxLinkLatency: 1, MaxRouteLatency: -1,
+		PeriodMin: 6, PeriodMax: 18, LenMin: 2, LenMax: 6, JitterProb: -1}
+	proofs := 0
+	for i := int64(0); i < 20; i++ {
+		sc := Generate(DeriveSeed(0x7AB1E, i), gen)
+		var reps [2]*Report
+		for k, workers := range []int{1, 4} {
+			rep, err := Check(sc, CheckConfig{Seed: sc.Seed, Duration: 2_000, Restarts: 2, RefineSteps: 1,
+				ProbesPerFlow: 4, Workers: workers, ExhaustiveStates: 1 << 16})
+			if err != nil {
+				t.Fatalf("scenario %d: %v", i, err)
+			}
+			reps[k] = rep
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Fatalf("scenario %d (%s): reports differ between 1 and 4 workers\n1: %+v\n4: %+v", i, sc, reps[0], reps[1])
+		}
+		if reps[0].Exhaustive != nil && reps[0].Exhaustive.Complete {
+			proofs++
+		}
+	}
+	if proofs == 0 {
+		t.Error("no scenario ended in a complete proof; the comparison searches went unchecked")
 	}
 }

@@ -19,11 +19,6 @@ const maxCycles = noc.Cycles(math.MaxInt64)
 // ~32KiB of CSV instead of one Fprintf per flit.
 const traceFlushSize = 32 << 10
 
-// maxCutHyperperiod bounds the hyperperiod of a recurrence-cut run, and
-// so the engine's phase set, one bit per hyperperiod cycle, at 128KiB:
-// a long horizon over long commensurate periods must not cost gigabytes.
-const maxCutHyperperiod = 1 << 20
-
 // packet is one released packet. Packets live in the engine's slab and
 // are addressed by int32 slab index, so flits, arrivals and source
 // queues hold no pointers and the hot loop copies small plain values.
@@ -303,32 +298,34 @@ type Engine struct {
 	flitsLive int // flits inside FIFOs or in transit
 
 	// stop is set once a target-scoped run's target can no longer
-	// complete a packet inside the horizon (see targetDone), once a
-	// busy-period run's network drains, or once a recurrence-cut run
-	// drains at a phase it drained at before; the main loop then exits
-	// at the top of the next cycle.
+	// complete a packet inside the horizon (see targetDone) or once a
+	// busy-period run's network drains; the main loop then exits at the
+	// top of the next cycle.
 	stop bool
 
-	// Recurrence-cut state (DESIGN.md §10). hyper is lcm(Tᵢ). recur
-	// gates the cut for this run; phaseFrom is the first cycle from
-	// which every flow's next release lies less than a period ahead.
-	// seenPhase is a bitset over [0, hyper) of the phases d mod hyper of
-	// the drains recorded so far; cutLog holds those drains and the
-	// target's completions in time order, and a cut run's repeating
-	// segment starts after cutLog[cutFrom].
-	hyper     noc.Cycles
-	recur     bool
-	phaseFrom noc.Cycles
-	seenPhase []uint64
-	cutLog    []cutEvent
-	cutFrom   int
-}
-
-// cutEvent is one entry of a recurrence-cut run's log: a target
-// completion at cycle at with latency lat, or, when lat is negative, a
-// recorded drain at cycle at.
-type cutEvent struct {
-	at, lat noc.Cycles
+	// Busy-period walk state (DESIGN.md §10). hyper is lcm(Tᵢ) and
+	// keySpace ∏ Tᵢ, both saturating: the gate's inputs. bp is the
+	// table a walking run uses, nil when the run does not walk. res
+	// holds the rows of the busy period under way and base the rows of
+	// the busy periods before it. lastTick is the target's last tick
+	// below the horizon. atDrain is set when the network drains, for the
+	// main loop to walk. keyBuf holds the last key looked up, which is
+	// the key of the busy period rec records. walkLog lists the run's
+	// busy periods and visit maps an entry id to 1 + its index there (0:
+	// not visited), until noForward ends the search for a recurrence.
+	// hits counts the busy periods the table supplied, for tests.
+	hyper, keySpace noc.Cycles
+	bp              *BusyPeriodTable
+	base            Result
+	lastTick        noc.Cycles
+	atDrain         bool
+	rec             recording
+	keyBuf          []byte
+	rowBuf          []int32
+	walkLog         []walkStep
+	visit           []int32
+	noForward       bool
+	hits            int
 }
 
 // NewEngine builds a reusable event-driven engine for sys. The engine
@@ -360,15 +357,10 @@ func NewEngine(sys *traffic.System) *Engine {
 		arbSet:      make([]uint64, words),
 		linkWakeAt:  make([]noc.Cycles, topo.NumLinks()),
 		hyper:       sys.Hyperperiod(),
+		keySpace:    1,
 		winnerOf:    make([]int32, topo.NumLinks()),
-		res: &Result{
-			WorstLatency:   make([]noc.Cycles, n),
-			TotalLatency:   make([]noc.Cycles, n),
-			Completed:      make([]int, n),
-			Released:       make([]int, n),
-			DeadlineMisses: make([]int, n),
-			MaxOccupancy:   make([][]int, n),
-		},
+		res:         newRows(n),
+		base:        *newRows(n),
 	}
 	for i := range e.winnerOf {
 		e.winnerOf[i] = -1
@@ -380,11 +372,13 @@ func NewEngine(sys *traffic.System) *Engine {
 		hops += e.routes[i].Len() - 1
 	}
 	fifoStore := make([]vcFIFO, hops)
-	occStore := make([]int, hops)
+	occStore := make([]int, 2*hops)
 	for i := 0; i < n; i++ {
+		e.keySpace = noc.SatMul(e.keySpace, e.flows[i].Period)
 		h := e.routes[i].Len() - 1
 		e.fifos[i], fifoStore = fifoStore[:h:h], fifoStore[h:]
 		e.res.MaxOccupancy[i], occStore = occStore[:h:h], occStore[h:]
+		e.base.MaxOccupancy[i], occStore = occStore[:h:h], occStore[h:]
 		for hop, l := range e.routes[i] {
 			e.onLink[l] = append(e.onLink[l], cand{flow: int32(i), hop: int32(hop)})
 		}
@@ -399,6 +393,7 @@ func NewEngine(sys *traffic.System) *Engine {
 			}
 		}
 	}
+	clearRows(&e.base)
 	return e
 }
 
@@ -457,14 +452,18 @@ func (e *Engine) reset(cfg Config) {
 		e.pktSeq[i] = 0
 		for h := range e.fifos[i] {
 			e.fifos[i][h].reset()
-			e.res.MaxOccupancy[i][h] = 0
 		}
-		e.res.WorstLatency[i] = -1
-		e.res.TotalLatency[i] = 0
-		e.res.Completed[i] = 0
-		e.res.Released[i] = 0
-		e.res.DeadlineMisses[i] = 0
 	}
+	clearRows(e.res)
+	// Walk state: the last run's base rows and visit marks.
+	if e.bp != nil {
+		clearRows(&e.base)
+		for _, st := range e.walkLog {
+			e.visit[st.id] = 0
+		}
+		e.walkLog = e.walkLog[:0]
+	}
+	e.bp, e.rec, e.atDrain, e.noForward, e.hits = nil, recording{}, false, false, 0
 	if cfg.RecordLatencies {
 		if e.res.Latencies == nil {
 			e.res.Latencies = make([][]noc.Cycles, e.n)
@@ -492,85 +491,29 @@ func (e *Engine) reset(cfg Config) {
 	// A target first released at or past the horizon has nothing to
 	// observe.
 	e.stop = cfg.stopFlow > 0 && e.targetDone(cfg.stopFlow-1)
-	// A jitter-free, uncapped, untraced, unrecorded scoped run whose
-	// horizon spans a hyperperiod may end at a recurrence; cycle 0 is its
-	// first drain. The phase set is cleared bit by bit through the last
-	// cut run's drains, so a reset costs nothing per hyperperiod cycle.
-	for _, ev := range e.cutLog {
-		if ev.lat < 0 {
-			ph := ev.at % e.hyper
-			e.seenPhase[ph>>6] &^= 1 << (ph & 63)
-		}
-	}
-	e.cutLog = e.cutLog[:0]
-	e.recur = cfg.stopFlow > 0 && !cfg.InjectJitter && cfg.MaxPacketsPerFlow == 0 &&
-		cfg.TraceWriter == nil && !cfg.RecordLatencies && e.hyper < cfg.Duration &&
-		e.hyper <= maxCutHyperperiod
-	if e.recur {
-		if e.seenPhase == nil {
-			e.seenPhase = make([]uint64, (e.hyper+63)/64)
-		}
-		e.phaseFrom = 0
-		for i, off := range cfg.Offsets {
-			e.phaseFrom = max(e.phaseFrom, off-e.flows[i].Period+1)
-		}
-		e.drained(0)
+	// A jitter-free, uncapped, untraced, unrecorded scoped run walks
+	// the table it was given when its horizon spans a hyperperiod or its
+	// key space is small (DESIGN.md §10).
+	if cfg.table != nil && cfg.stopFlow > 0 && !e.stop && !cfg.InjectJitter && cfg.MaxPacketsPerFlow == 0 &&
+		cfg.TraceWriter == nil && !cfg.RecordLatencies && (e.hyper < cfg.Duration || e.keySpace <= maxKeySpace) {
+		e.bp = cfg.table
+		f := cfg.stopFlow - 1
+		off, T := e.nextRelease[f], e.flows[f].Period
+		e.lastTick = off + (cfg.Duration-1-off)/T*T
 	}
 }
 
-// drained handles a drain instant d of a recurrence-cut run: every
-// released packet has been delivered and no release at d has happened
-// yet. From d on, the run depends only on each flow's next release
-// minus d, a function of d mod hyper once d >= phaseFrom. So when an
-// earlier drain had the same phase, the run from that drain on repeats
-// with period d minus it, and the run stops; run then extrapolates the
-// target's row (extrapolate).
-func (e *Engine) drained(d noc.Cycles) {
-	if d < e.phaseFrom {
-		return
+// newRows returns a Result with per-flow rows for n flows; the caller
+// slices MaxOccupancy's rows.
+func newRows(n int) *Result {
+	return &Result{
+		WorstLatency:   make([]noc.Cycles, n),
+		TotalLatency:   make([]noc.Cycles, n),
+		Completed:      make([]int, n),
+		Released:       make([]int, n),
+		DeadlineMisses: make([]int, n),
+		MaxOccupancy:   make([][]int, n),
 	}
-	ph := d % e.hyper
-	if w, bit := ph>>6, uint64(1)<<(ph&63); e.seenPhase[w]&bit == 0 {
-		e.seenPhase[w] |= bit
-		e.cutLog = append(e.cutLog, cutEvent{at: d, lat: -1})
-		return
-	}
-	k := len(e.cutLog) - 1
-	for e.cutLog[k].lat >= 0 || e.cutLog[k].at%e.hyper != ph {
-		k--
-	}
-	e.cutFrom = k
-	e.res.Stats.recurrence = d - e.cutLog[k].at
-	e.stop = true
-}
-
-// extrapolate completes the target's row of a run cut at a recurrence
-// of period L from drain cutLog[cutFrom]: each target completion at a
-// after that drain recurs ⌊(Duration−1−a)/L⌋ more times inside the
-// horizon, with the same latency, and Released counts every tick below
-// the horizon. The recurrences repeat latencies and occupancies already
-// observed, so WorstLatency and MaxOccupancy are final.
-func (e *Engine) extrapolate() {
-	f, L := e.cfg.stopFlow-1, e.res.Stats.recurrence
-	fl := &e.flows[f]
-	for _, c := range e.cutLog[e.cutFrom+1:] {
-		if c.lat < 0 {
-			continue
-		}
-		n := (e.cfg.Duration - 1 - c.at) / L
-		e.res.Completed[f] += int(n)
-		e.res.TotalLatency[f] += n * c.lat
-		if c.lat > fl.Deadline {
-			e.res.DeadlineMisses[f] += int(n)
-		}
-	}
-	// The target's offset is below the horizon, or reset would have
-	// stopped the run before its first cycle.
-	off := noc.Cycles(0)
-	if e.cfg.Offsets != nil {
-		off = e.cfg.Offsets[f]
-	}
-	e.res.Released[f] = int((e.cfg.Duration-1-off)/fl.Period + 1)
 }
 
 // targetDone reports whether flow f, the target of a scoped run, can no
@@ -581,7 +524,7 @@ func (e *Engine) extrapolate() {
 // the jittered release and jitter only delays a release, so from then
 // on the flow's Result row is final.
 func (e *Engine) targetDone(f int) bool {
-	return e.released[f] == e.res.Completed[f] &&
+	return e.released[f] == e.res.Completed[f]+e.base.Completed[f] &&
 		(e.nextRelease[f] >= e.cfg.Duration ||
 			e.cfg.MaxPacketsPerFlow > 0 && e.released[f] >= e.cfg.MaxPacketsPerFlow)
 }
@@ -596,12 +539,16 @@ func (e *Engine) targetDone(f int) bool {
 // state can change in between, so the skip is unobservable. A
 // target-scoped run ends at the top of the cycle after its target is
 // done, a busy-period run at the top of the cycle after the network
-// drains.
+// drains. A walking run walks its table at cycle 0 and at every drain,
+// resuming from the drain the walk ends at.
 func (e *Engine) run() {
 	for i := 0; i < e.n; i++ {
 		e.relPush(e.nextRelease[i], int32(i))
 	}
 	t := noc.Cycles(0)
+	if e.bp != nil {
+		t = e.walk(0)
+	}
 	for ; t < e.cfg.Duration && !e.stop; t++ {
 		// 1. Deliver flits whose link traversal completes at t. Each
 		// delivery marks the link the landing FIFO feeds as dirty, and
@@ -622,6 +569,12 @@ func (e *Engine) run() {
 			a := e.arrivals[e.arrivalHead]
 			e.arrivalHead++
 			e.deliver(a)
+		}
+		if e.atDrain {
+			e.atDrain = false
+			if d := e.walk(t); d != t {
+				t, landed, e.streak = d, e.arrivalHead, 0
+			}
 		}
 		// 2. Timed link wakeups: headers whose routing delay elapses
 		// at t.
@@ -737,8 +690,8 @@ func (e *Engine) run() {
 	if e.cfg.stopFlow > 0 || e.cfg.busyPeriod {
 		e.res.Stats.StoppedAt = t
 	}
-	if e.res.Stats.recurrence > 0 {
-		e.extrapolate()
+	if e.bp != nil {
+		mergeRows(e.res, &e.base)
 	}
 	e.res.InFlight = e.inFlight
 	e.flushTrace()
@@ -941,13 +894,8 @@ func (e *Engine) completePacket(flow int, p int32, at noc.Cycles) {
 		e.inFlight == 0 && e.cfg.busyPeriod {
 		e.stop = true
 	}
-	if e.recur && !e.stop {
-		if flow == e.cfg.stopFlow-1 {
-			e.cutLog = append(e.cutLog, cutEvent{at: at, lat: lat})
-		}
-		if e.inFlight == 0 {
-			e.drained(at)
-		}
+	if e.bp != nil && e.inFlight == 0 && !e.stop {
+		e.atDrain = true
 	}
 }
 

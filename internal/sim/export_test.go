@@ -1,7 +1,5 @@
 package sim
 
-import "wormnoc/internal/noc"
-
 // Scoped returns cfg as a target-scoped run of flow target, the way
 // SearchWorstCase configures its probes.
 func Scoped(cfg Config, target int) Config {
@@ -9,9 +7,22 @@ func Scoped(cfg Config, target int) Config {
 	return cfg
 }
 
-// RecurrencePeriod returns the period of the recurrence r's run was cut
-// at, or 0 when the cut did not fire.
-func RecurrencePeriod(r *Result) noc.Cycles { return r.Stats.recurrence }
+// WithTable returns cfg walking busy-period table t when its run passes
+// the walk's gate, the way SearchWorstCase configures its probes.
+func WithTable(cfg Config, t *BusyPeriodTable) Config {
+	cfg.table = t
+	return cfg
+}
+
+// TableHits returns how many busy periods e's last run took from its
+// table, fast-forwarded recurrences included.
+func TableHits(e *Engine) int { return e.hits }
+
+// Walked reports whether e's last run walked a busy-period table.
+func Walked(e *Engine) bool { return e.bp != nil }
+
+// TableLen returns the number of busy periods t holds.
+func TableLen(t *BusyPeriodTable) int { return len(t.entries) }
 
 // Checked returns cfg with the engine's runtime invariants checked after
 // every executed cycle and every fast-path batch.

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"wormnoc/internal/noc"
@@ -71,5 +72,46 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			t.Fatalf("%s: warm: %v", label, err)
 		}
 		mustEqualResults(t, label+" warm", ref, warm)
+	})
+}
+
+// FuzzSegmentWalkMatchesFullRun drives tiny systems from random offsets
+// through one busy-period table: every flow is the target of a scoped
+// run at the 2 000-cycle search horizon and at the proof horizon, in
+// that order and then again, so later runs apply, and fast-forward, the
+// busy periods earlier ones stored. Every target row must equal the
+// table-free full-horizon run's.
+func FuzzSegmentWalkMatchesFullRun(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 4, -5, 96, 1 << 40} {
+		f.Add(seed, seed+1)
+	}
+	f.Fuzz(func(t *testing.T, seed, offSeed int64) {
+		sc := oracle.Generate(seed, tinyGen)
+		sys, err := sc.System()
+		if err != nil {
+			t.Skipf("seed %d: %v", seed, err)
+		}
+		offs := randomOffsets(sys, offSeed)
+		eng := sim.NewEngine(sys)
+		table := new(sim.BusyPeriodTable)
+		for pass := 0; pass < 2; pass++ {
+			for _, dur := range []noc.Cycles{2_000, proofHorizon(sys)} {
+				cfg := sim.Config{Duration: dur, Offsets: offs}
+				full, err := sim.Run(sys, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for target := 0; target < sys.NumFlows(); target++ {
+					got, err := eng.Run(sim.WithTable(sim.Scoped(cfg, target), table))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, row := rowOf(full, target), rowOf(got, target); !reflect.DeepEqual(want, row) {
+						t.Fatalf("seed %d (%s) offsets %v duration %d target %d pass %d: walked row %+v, full row %+v",
+							seed, sc, offs, dur, target, pass, row, want)
+					}
+				}
+			}
+		}
 	})
 }

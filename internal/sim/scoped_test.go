@@ -37,7 +37,7 @@ type scopedCase struct {
 	label string
 	sys   *traffic.System
 	cfg   sim.Config
-	tiny  bool // a TestDifferentialTiny system, the recurrence cut's regime
+	tiny  bool // a TestDifferentialTiny system, the busy-period table's regime
 }
 
 // withPeriodJitter returns sys with every flow's release jitter set to
@@ -106,9 +106,10 @@ func scopedCorpus(t testing.TB) []scopedCase {
 				sys:   sys, cfg: sim.Config{Duration: dur, Offsets: offs}, tiny: true,
 			})
 		}
-		// Flow f first released f half-hyperperiods late: a drain before
-		// the last flow starts is not yet a function of its phase, and
-		// these cases fail when the cut treats it as one.
+		// Flow f first released f half-hyperperiods late: before the last
+		// flow starts, a drain's key holds next releases more than a
+		// period ahead, and these cases fail when the key reduces them
+		// modulo the periods.
 		late := make([]noc.Cycles, len(offs))
 		for f := range late {
 			late[f] = offs[f] + noc.Cycles(f)*sys.Hyperperiod()/2
@@ -149,13 +150,16 @@ func scopedCorpus(t testing.TB) []scopedCase {
 
 // TestScopedRunsMatchFullRuns runs every flow of the differential
 // corpus as the target of a scoped run, on one reused engine per case,
-// and holds the target's whole Result row to the full-horizon run's,
-// with the engine's runtime invariants checked on both.
-// It also requires that most scoped runs actually stop early, and that
-// the recurrence cut, whose row is partly extrapolated, fires on at
-// least half of the tiny runs, so neither comparison passes vacuously.
+// and holds the target's whole Result row to the full-horizon run's.
+// Each case runs its targets twice through one busy-period table: first
+// as the search runs them, applying the table's entries, then with the
+// engine's runtime invariants checked, which also simulates every table
+// hit and panics unless it reproduces its entry. It also requires that
+// most scoped runs actually stop early, and that at least half of the
+// tiny runs take a table hit or a fast-forwarded recurrence, so neither
+// comparison passes vacuously.
 func TestScopedRunsMatchFullRuns(t *testing.T) {
-	runs, stopped, tinyRuns, cut := 0, 0, 0, 0
+	runs, stopped, tinyRuns, walked := 0, 0, 0, 0
 	for _, c := range scopedCorpus(t) {
 		full, err := sim.Run(c.sys, sim.Checked(c.cfg))
 		if err != nil {
@@ -165,23 +169,31 @@ func TestScopedRunsMatchFullRuns(t *testing.T) {
 			t.Fatalf("%s: full-horizon run reports StoppedAt %d", c.label, full.Stats.StoppedAt)
 		}
 		eng := sim.NewEngine(c.sys)
-		for f := 0; f < c.sys.NumFlows(); f++ {
-			got, err := eng.Run(sim.Checked(sim.Scoped(c.cfg, f)))
-			if err != nil {
-				t.Fatalf("%s target %d: %v", c.label, f, err)
-			}
-			if want, row := rowOf(full, f), rowOf(got, f); !reflect.DeepEqual(want, row) {
-				t.Fatalf("%s target %d: scoped run (stopped at %d of %d) diverged from the full run\nfull:   %+v\nscoped: %+v",
-					c.label, f, got.Stats.StoppedAt, c.cfg.Duration, want, row)
-			}
-			runs++
-			if got.Stats.StoppedAt < c.cfg.Duration {
-				stopped++
-			}
-			if c.tiny {
-				tinyRuns++
-				if sim.RecurrencePeriod(got) > 0 {
-					cut++
+		table := new(sim.BusyPeriodTable)
+		for pass, mode := range []func(sim.Config) sim.Config{
+			func(cfg sim.Config) sim.Config { return cfg }, sim.Checked,
+		} {
+			for f := 0; f < c.sys.NumFlows(); f++ {
+				got, err := eng.Run(mode(sim.WithTable(sim.Scoped(c.cfg, f), table)))
+				if err != nil {
+					t.Fatalf("%s target %d: %v", c.label, f, err)
+				}
+				if want, row := rowOf(full, f), rowOf(got, f); !reflect.DeepEqual(want, row) {
+					t.Fatalf("%s target %d pass %d: scoped run (stopped at %d of %d, %d table hits) diverged from the full run\nfull:   %+v\nscoped: %+v",
+						c.label, f, pass, got.Stats.StoppedAt, c.cfg.Duration, sim.TableHits(eng), want, row)
+				}
+				if pass > 0 {
+					continue
+				}
+				runs++
+				if got.Stats.StoppedAt < c.cfg.Duration {
+					stopped++
+				}
+				if c.tiny {
+					tinyRuns++
+					if sim.TableHits(eng) > 0 {
+						walked++
+					}
 				}
 			}
 		}
@@ -189,38 +201,52 @@ func TestScopedRunsMatchFullRuns(t *testing.T) {
 	if stopped*2 <= runs {
 		t.Errorf("only %d of %d scoped runs stopped before the horizon; the comparison is close to vacuous", stopped, runs)
 	}
-	if cut*2 < tinyRuns {
-		t.Errorf("the recurrence cut fired on only %d of %d tiny scoped runs; its extrapolation is barely tested", cut, tinyRuns)
+	if walked*2 < tinyRuns {
+		t.Errorf("only %d of %d tiny scoped runs took a table hit or a fast-forward; the walk is barely tested", walked, tinyRuns)
 	}
-	t.Logf("%d of %d scoped runs stopped early; the recurrence cut fired on %d of %d tiny runs", stopped, runs, cut, tinyRuns)
+	t.Logf("%d of %d scoped runs stopped early; %d of %d tiny runs took a table hit or a fast-forward", stopped, runs, walked, tinyRuns)
 }
 
-// TestRecurrenceCutHyperperiodCap checks that the cut, whose phase set
-// takes one bit per hyperperiod cycle, leaves hyperperiods above 2^20
-// cycles alone, while the same system with periods an eighth as long
-// takes it; both scoped rows match the full runs.
-func TestRecurrenceCutHyperperiodCap(t *testing.T) {
+// TestBusyPeriodWalkGate checks that a scoped run walks its table
+// exactly when the gate holds — the hyperperiod is below the horizon,
+// or the key space ∏ Tᵢ is at most 2²⁰ — and that the target rows match
+// the full runs either way.
+func TestBusyPeriodWalkGate(t *testing.T) {
 	topo := noc.MustMesh(2, 1, noc.RouterConfig{BufDepth: 2, LinkLatency: 1})
-	for _, scale := range []noc.Cycles{1, 8} {
-		a, b := 3<<19/scale, 1<<20/scale // hyperperiod 3·2^20/scale
+	for _, tc := range []struct {
+		a, b     noc.Cycles
+		duration noc.Cycles
+		walk     bool
+	}{
+		{3 << 16, 1 << 17, 4 * 3 << 17, true}, // lcm 3·2^17 < horizon, ∏ Tᵢ = 3·2^33
+		{1000, 1001, 20_000, true},            // lcm = ∏ Tᵢ = 1 001 000 ≤ 2^20
+		{1500, 1501, 20_000, false},           // lcm = ∏ Tᵢ = 2 251 500
+	} {
 		sys := traffic.MustSystem(topo, []traffic.Flow{
-			{Name: "a", Priority: 1, Period: a, Deadline: a, Length: 4, Src: 0, Dst: 1},
-			{Name: "b", Priority: 2, Period: b, Deadline: b, Length: 4, Src: 0, Dst: 1},
+			{Name: "a", Priority: 1, Period: tc.a, Deadline: tc.a, Length: 4, Src: 0, Dst: 1},
+			{Name: "b", Priority: 2, Period: tc.b, Deadline: tc.b, Length: 4, Src: 0, Dst: 1},
 		})
-		cfg := sim.Config{Duration: 4 * sys.Hyperperiod(), Offsets: []noc.Cycles{0, 2}}
+		cfg := sim.Config{Duration: tc.duration, Offsets: []noc.Cycles{0, 2}}
 		full, err := sim.Run(sys, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.Run(sys, sim.Scoped(cfg, 1))
-		if err != nil {
-			t.Fatal(err)
+		eng := sim.NewEngine(sys)
+		table := new(sim.BusyPeriodTable)
+		for pass := 0; pass < 2; pass++ {
+			got, err := eng.Run(sim.WithTable(sim.Scoped(cfg, 1), table))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, row := rowOf(full, 1), rowOf(got, 1); !reflect.DeepEqual(want, row) {
+				t.Fatalf("periods %d, %d pass %d: scoped row %+v, full row %+v", tc.a, tc.b, pass, row, want)
+			}
+			if sim.Walked(eng) != tc.walk {
+				t.Errorf("periods %d, %d: walked %v, want %v", tc.a, tc.b, sim.Walked(eng), tc.walk)
+			}
 		}
-		if want, row := rowOf(full, 1), rowOf(got, 1); !reflect.DeepEqual(want, row) {
-			t.Fatalf("hyperperiod %d: scoped row %+v, full row %+v", sys.Hyperperiod(), row, want)
-		}
-		if cut := sim.RecurrencePeriod(got) > 0; cut != (scale == 8) {
-			t.Errorf("hyperperiod %d: recurrence cut fired %v, want %v", sys.Hyperperiod(), cut, scale == 8)
+		if n := sim.TableLen(table); (n > 0) != tc.walk {
+			t.Errorf("periods %d, %d: table holds %d busy periods, walk %v", tc.a, tc.b, n, tc.walk)
 		}
 	}
 }

@@ -50,6 +50,12 @@ type SearchConfig struct {
 	// is used from a single goroutine; it must not be shared with
 	// concurrent searches.
 	Rand *rand.Rand
+	// Table, when non-nil, is the busy-period table the search's
+	// jitter-free probes walk (DESIGN.md §10); searches of one system
+	// may share it, concurrently too, to simulate each busy period once.
+	// Nil gives the search a table of its own. The result does not
+	// depend on it.
+	Table *BusyPeriodTable
 }
 
 // SearchResult reports the worst phasing found.
@@ -76,11 +82,13 @@ type SearchResult struct {
 // Probes are target-scoped: each ends as soon as the target can no
 // longer complete a packet inside Base.Duration, often long before the
 // horizon, because the probe reads only the target's worst latency and
-// that is final by then. A jitter-free probe whose hyperperiod fits in
-// the horizon also ends once the network drains at a hyperperiod phase
-// it drained at before (DESIGN.md §10). Runs still counts every probe.
-// The result depends only on the configuration and seed, never on the
-// worker count.
+// that is final by then. A jitter-free probe of a system with a short
+// hyperperiod or a small key space also walks the busy-period table:
+// it applies the busy periods an earlier probe already simulated and
+// fast-forwards a recurrence, simulating only the busy periods it has
+// not seen and the one holding the target's last tick (DESIGN.md §10).
+// Runs still counts every probe. The result depends only on the
+// configuration and seed, never on the worker count or the table.
 func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, error) {
 	n := sys.NumFlows()
 	if cfg.Target < 0 || cfg.Target >= n {
@@ -124,6 +132,10 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	probe := cfg.Base
 	probe.Offsets = nil
 	probe.stopFlow = cfg.Target + 1
+	probe.table = cfg.Table
+	if probe.table == nil {
+		probe.table = new(BusyPeriodTable)
+	}
 	setCand := func(i int, off []noc.Cycles) { copy(off, cands[i]) }
 
 	// evalBatch evaluates cands[0:k]: the target's largest latency and

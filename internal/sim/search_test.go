@@ -98,6 +98,16 @@ func TestSearchWorstCaseErrors(t *testing.T) {
 			t.Errorf("%d offsets for %d flows: got error %v", k, sys.NumFlows(), err)
 		}
 	}
+	// A table's keys mean nothing for another system's flows.
+	table := new(sim.BusyPeriodTable)
+	if _, err := sim.SearchWorstCase(sys, sim.SearchConfig{Base: sim.Config{Duration: 100}, Table: table}); err != nil {
+		t.Fatal(err)
+	}
+	other := workload.Didactic(10)
+	if _, err := sim.SearchWorstCase(other, sim.SearchConfig{Base: sim.Config{Duration: 100}, Table: table}); err == nil ||
+		!strings.Contains(err.Error(), "busy-period table serves one system") {
+		t.Errorf("a table shared across two systems: got error %v", err)
+	}
 }
 
 // TestSearchRespectsIBNOnRandomScenario: adversarial phasing search on a
@@ -140,8 +150,8 @@ func TestSearchRespectsIBNOnRandomScenario(t *testing.T) {
 // cycling through the flows. The oracle* scenarios are oracle-
 // distribution systems under the oracle's default 12 000-cycle horizon;
 // the tiny* ones are `nocfuzz exhaust` systems under the 2 000-cycle
-// horizon of the prove regime's searches, where most probes end at a
-// recurrence (DESIGN.md §10).
+// horizon of the prove regime's searches, whose probes walk a
+// busy-period table (DESIGN.md §10).
 type probeScenario struct {
 	name    string
 	sys     *traffic.System
@@ -190,6 +200,10 @@ func probeScenarios(b testing.TB) []probeScenario {
 	return out
 }
 
+// benchProbes runs the scenario's probes round-robin on one warm engine.
+// Scoped probes walk a busy-period table the way a search's do, with a
+// fresh table for each pass over the 64 probes, so b.N never measures a
+// table warmed across passes.
 func benchProbes(b *testing.B, scoped bool) {
 	for _, sc := range probeScenarios(b) {
 		b.Run(sc.name, func(b *testing.B) {
@@ -201,10 +215,19 @@ func benchProbes(b *testing.B, scoped bool) {
 				}
 			}
 			eng := sim.NewEngine(sc.sys)
+			var table *sim.BusyPeriodTable
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(cfgs[i%len(cfgs)]); err != nil {
+				p := i % len(cfgs)
+				cfg := cfgs[p]
+				if scoped {
+					if p == 0 {
+						table = new(sim.BusyPeriodTable)
+					}
+					cfg = sim.WithTable(cfg, table)
+				}
+				if _, err := eng.Run(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -219,26 +242,34 @@ func BenchmarkSearchProbeFull(b *testing.B) { benchProbes(b, false) }
 
 // BenchmarkSearchProbeScoped measures the same probes target-scoped, as
 // SearchWorstCase runs them: each ends once its target can no longer
-// complete a packet inside the horizon, or, jitter-free, once the
-// network drains at a phase of the hyperperiod it drained at before.
+// complete a packet inside the horizon, and the jitter-free tiny* probes
+// also walk a busy-period table (DESIGN.md §10).
 func BenchmarkSearchProbeScoped(b *testing.B) { benchProbes(b, true) }
 
 // TestSearchProbeBenchAgree anchors the search-probe pair: on every
-// probe both sides observe the same target row.
+// probe both sides observe the same target row. It also pins which side
+// of the walk's gate each scenario falls on: every tiny* probe walks its
+// table and no oracle* probe does, so the oracle* pairs measure the
+// scoped probes of the verify regime alone.
 func TestSearchProbeBenchAgree(t *testing.T) {
 	for _, sc := range probeScenarios(t) {
 		eng := sim.NewEngine(sc.sys)
+		table := new(sim.BusyPeriodTable)
+		tiny := strings.HasPrefix(sc.name, "tiny")
 		for p, cfg := range sc.cfgs {
 			full, err := sim.Run(sc.sys, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Run(sim.Scoped(cfg, sc.targets[p]))
+			got, err := eng.Run(sim.WithTable(sim.Scoped(cfg, sc.targets[p]), table))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want, row := rowOf(full, sc.targets[p]), rowOf(got, sc.targets[p]); !reflect.DeepEqual(want, row) {
 				t.Fatalf("%s probe %d: scoped row %+v, full row %+v", sc.name, p, row, want)
+			}
+			if sim.Walked(eng) != tiny {
+				t.Fatalf("%s probe %d: walked the table %v, want %v", sc.name, p, sim.Walked(eng), tiny)
 			}
 		}
 	}

@@ -25,6 +25,13 @@
 // RunReference is the retained straightforward cycle-scanning engine;
 // the two are held bit-identical by a differential test suite and the
 // verification oracle's divergence invariant (DESIGN.md §10).
+//
+// SearchWorstCase's probes are target-scoped: each ends once its target
+// can no longer complete a packet inside the horizon. Jitter-free probes
+// of systems with short hyperperiods or small key spaces also walk a
+// BusyPeriodTable, which stores every busy period they simulate, keyed
+// by the phasing it starts from, so probes sharing the table simulate
+// each busy period once (DESIGN.md §10, "Busy-period table").
 package sim
 
 import (
@@ -69,13 +76,15 @@ type Config struct {
 
 	// stopFlow is 0 for a full-horizon run, or f+1 to make the run
 	// target-scoped for flow f: it ends as soon as f can no longer
-	// complete a packet inside the horizon (Engine.targetDone), or, when
-	// the run is jitter-free, uncapped, untraced and unrecorded, once it
-	// provably repeats (the recurrence cut, DESIGN.md §10). Flow f's
+	// complete a packet inside the horizon (Engine.targetDone). Flow f's
 	// Result row is exactly the full run's; the other rows and InFlight
 	// are partial. Only SearchWorstCase sets it, for probes that read
 	// nothing but the target's worst latency.
 	stopFlow int
+	// table, on a target-scoped run that is jitter-free, uncapped,
+	// untraced and unrecorded, is the busy-period table the run walks
+	// (DESIGN.md §10). Only SearchWorstCase sets it.
+	table *BusyPeriodTable
 	// busyPeriod ends the run at the top of the cycle after the network
 	// first drains: after the first release, every released packet has
 	// been delivered. Only Engine.RunBusyPeriod sets it.
@@ -108,9 +117,6 @@ type Stats struct {
 	// early and Duration when it did not. Zero for runs that never stop
 	// early (Run, Engine.Run).
 	StoppedAt noc.Cycles
-	// recurrence is the period L of the recurrence a target-scoped run
-	// was cut at (DESIGN.md §10), or 0 when it was not.
-	recurrence noc.Cycles
 }
 
 // Result holds the outcome of a run.
@@ -177,6 +183,11 @@ func validateConfig(sys *traffic.System, cfg Config) error {
 	for i, off := range cfg.Offsets {
 		if off < 0 {
 			return fmt.Errorf("sim: flow %d has negative offset %d", i, off)
+		}
+	}
+	if cfg.table != nil {
+		if err := cfg.table.bind(sys); err != nil {
+			return err
 		}
 	}
 	flows := sys.Flows()
