@@ -7,9 +7,11 @@
 #                                 reference engine vs the event-driven
 #                                 engine per load scenario, of the
 #                                 sequential vs batched (RunMany)
-#                                 scenario-campaign runner and of
+#                                 scenario-campaign runner, of
 #                                 full-horizon vs target-scoped
-#                                 phasing-search probes
+#                                 phasing-search probes and of
+#                                 unrestricted vs influence-restricted
+#                                 phasing searches
 #   results/BENCH_analysis.json — analysis-side benchmarks (fixed-point
 #                                 scaling, set construction, Table II
 #                                 columns) and the scratch-vs-incremental
@@ -34,8 +36,9 @@
 # committed file untouched, so CI catches an engine, an incremental
 # path or a reduction that quietly stopped paying off.
 #
-# BENCHTIME/COUNT tune fidelity vs wall time; CI uses the defaults and
-# uploads the files as artifacts.
+# BENCHTIME/COUNT tune fidelity vs wall time; a benchmark run COUNT
+# times is recorded as its median run. CI uses the defaults and uploads
+# the files as artifacts.
 
 BENCHTIME  ?= 1s
 COUNT      ?= 1
@@ -51,7 +54,7 @@ bench-sim:
 	  go test -run=NONE -count=$(COUNT) -benchtime=$(BENCHTIME) -benchmem \
 	    -bench 'BenchmarkSimulator$$|BenchmarkSimulatorMeshScaling$$|BenchmarkWorstCaseSearch$$' . && \
 	  go test -run=NONE -count=$(COUNT) -benchtime=$(BENCHTIME) -benchmem \
-	    -bench 'BenchmarkEngine|BenchmarkRunMany|BenchmarkSearchProbe' ./internal/sim ; \
+	    -bench 'BenchmarkEngine|BenchmarkRunMany|BenchmarkSearchProbe|BenchmarkSearchUnrestricted|BenchmarkSearchRestricted' ./internal/sim ; \
 	} > results/.bench_sim.txt
 	@if [ -f results/BENCH_sim.json ]; then \
 	  go run ./cmd/benchjson -in results/.bench_sim.txt \

@@ -16,7 +16,10 @@
 // BenchmarkSearchProbeFull/<scenario> pairs with
 // BenchmarkSearchProbeScoped/<scenario> for the phasing search's
 // target-scoped probes over full-horizon ones, and any
-// BenchmarkExhaustiveRaw/<scenario> pairs with
+// BenchmarkSearchUnrestricted/<scenario> pairs with
+// BenchmarkSearchRestricted/<scenario> for phasing searches that
+// simulate only their target's influence set over ones that simulate
+// every flow, and any BenchmarkExhaustiveRaw/<scenario> pairs with
 // BenchmarkExhaustiveReduced/<scenario> for the explicit-state
 // backend's symmetry/cluster reductions over the raw grid, and any
 // BenchmarkExhaustiveFullHorizon/<scenario> pairs with
@@ -199,8 +202,9 @@ func Gate(base, doc *Doc, tol float64) []string {
 
 // Parse reads `go test -bench` output and builds the document. Lines
 // that are not benchmark results (test chatter, pass/fail footers) are
-// ignored; the same benchmark appearing twice (e.g. -count=2) keeps the
-// faster run, the convention benchstat calls "min of counts".
+// ignored; a benchmark appearing more than once (-count=N) keeps its
+// median run by ns/op, the faster of the two middle runs for an even
+// count, so one outlier run cannot set a baseline.
 //
 // Input with no benchmark lines at all is an error, not an empty
 // document: it means the -bench regexp matched nothing or the test
@@ -218,7 +222,7 @@ func Parse(r io.Reader) (*Doc, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 	}
-	byName := map[string]*Benchmark{}
+	runs := map[string][]*Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -230,12 +234,15 @@ func Parse(r io.Reader) (*Doc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: line %q: %w", sc.Text(), err)
 		}
-		if prev, ok := byName[b.Name]; !ok || b.NsPerOp < prev.NsPerOp {
-			byName[b.Name] = b
-		}
+		runs[b.Name] = append(runs[b.Name], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	byName := map[string]*Benchmark{}
+	for name, rs := range runs {
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		byName[name] = rs[(len(rs)-1)/2]
 	}
 	if len(byName) == 0 {
 		return nil, fmt.Errorf("no benchmark results in input (did the -bench regexp match anything, and did the test binary build?)")
@@ -302,6 +309,9 @@ var pairPrefixes = []struct{ before, after string }{
 	// committed baselines keep gating the pair.
 	{"BenchmarkRunManySequential/", "BenchmarkRunMany/"},
 	{"BenchmarkSearchProbeFull/", "BenchmarkSearchProbeScoped/"},
+	// Whole phasing searches simulating every flow vs only the target's
+	// influence set.
+	{"BenchmarkSearchUnrestricted/", "BenchmarkSearchRestricted/"},
 	// The exhaustive backend's raw-grid enumeration vs the symmetry-
 	// quotiented, cluster-decomposed one (results/BENCH_exhaustive.json,
 	// Makefile `bench-exhaustive`). The states/op metric on each record

@@ -182,13 +182,24 @@ func TestParseRegress(t *testing.T) {
 	}
 }
 
-func TestParseKeepsFastestDuplicate(t *testing.T) {
-	in := "BenchmarkX 10 200 ns/op\nBenchmarkX 20 100 ns/op\n"
-	doc, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Benchmarks) != 1 || doc.Benchmarks[0].NsPerOp != 100 {
-		t.Fatalf("duplicate handling: %+v", doc.Benchmarks)
+// TestParseKeepsMedianDuplicate: a benchmark run -count times keeps its
+// median run, so one outlier cannot set a baseline; of an even count,
+// the faster of the two middle runs.
+func TestParseKeepsMedianDuplicate(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want float64
+	}{
+		{"BenchmarkX 10 200 ns/op\nBenchmarkX 20 100 ns/op\n", 100},
+		{"BenchmarkX 9 300 ns/op\nBenchmarkX 40 90 ns/op\nBenchmarkX 5 900 ns/op\n" +
+			"BenchmarkX 20 200 ns/op\nBenchmarkX 30 110 ns/op\n", 200},
+	} {
+		doc, err := Parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Benchmarks) != 1 || doc.Benchmarks[0].NsPerOp != tc.want {
+			t.Errorf("duplicate handling of %q: %+v, want the %v ns/op run", tc.in, doc.Benchmarks, tc.want)
+		}
 	}
 }

@@ -39,7 +39,7 @@ type CampaignConfig struct {
 type CampaignStats struct {
 	// Checked counts scenarios fully checked.
 	Checked int
-	// SimRuns totals the simulations spent across all checks.
+	// SimRuns totals the checks' Report.SimRuns.
 	SimRuns int
 	// Violations counts reported invariant breaches.
 	Violations int

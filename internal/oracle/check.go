@@ -217,7 +217,10 @@ type Report struct {
 	// latencies beyond the unsafe SB/SLA bounds.
 	Findings []Violation
 	// FlowsAttacked counts flows whose bounds were adversarially
-	// searched; SimRuns counts the simulations spent doing it.
+	// searched; SimRuns counts the runs spent checking: the replays,
+	// the exhaustive backend's states and every search probe, whether
+	// simulated, walked through the busy-period table or resolved by the
+	// target's influence set without a run (sim.SearchResult.Runs).
 	FlowsAttacked, SimRuns int
 	// Exhaustive, when the explicit-state backend ran (see
 	// CheckConfig.ExhaustiveStates), reports its coverage and the

@@ -40,6 +40,16 @@ type BusyPeriodTable struct {
 	// rows holds entry id's row at chunk id/chunkEntries, offset
 	// id%chunkEntries·stride.
 	rows [][]int32
+	// subs maps an influence set of sys, as a varint string of its flow
+	// indices, to its restricted system and that system's table.
+	subs map[string]*subTable
+}
+
+// subTable is the restricted system of one influence set and the table
+// its probes walk.
+type subTable struct {
+	sys   *traffic.System
+	table BusyPeriodTable
 }
 
 // busyPeriod is one table entry: the first busy period of a run from
@@ -70,6 +80,34 @@ func (b *BusyPeriodTable) bind(sys *traffic.System) error {
 		return fmt.Errorf("sim: a busy-period table serves one system")
 	}
 	return nil
+}
+
+// restrict binds b to sys and returns the restricted system of keep,
+// an influence set of sys in index order, with its table, building both
+// on first use.
+func (b *BusyPeriodTable) restrict(sys *traffic.System, keep []int) (*traffic.System, *BusyPeriodTable, error) {
+	if err := b.bind(sys); err != nil {
+		return nil, nil, err
+	}
+	var key []byte
+	for _, i := range keep {
+		key = binary.AppendUvarint(key, uint64(i))
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s, ok := b.subs[string(key)]
+	if !ok {
+		sub, err := Restrict(sys, keep)
+		if err != nil {
+			return nil, nil, err
+		}
+		s = &subTable{sys: sub}
+		if b.subs == nil {
+			b.subs = make(map[string]*subTable)
+		}
+		b.subs[string(key)] = s
+	}
+	return s.sys, &s.table, nil
 }
 
 func (b *BusyPeriodTable) row(id int32) []int32 {

@@ -1,5 +1,7 @@
 package sim
 
+import "wormnoc/internal/traffic"
+
 // Scoped returns cfg as a target-scoped run of flow target, the way
 // SearchWorstCase configures its probes.
 func Scoped(cfg Config, target int) Config {
@@ -30,3 +32,14 @@ func Checked(cfg Config) Config {
 	cfg.checkInvariants = true
 	return cfg
 }
+
+// Unrestricted returns cfg searching with every flow simulated, never
+// only the target's influence set.
+func Unrestricted(cfg SearchConfig) SearchConfig {
+	cfg.unrestricted = true
+	return cfg
+}
+
+// Influence returns the flows a search of cfg simulates, or nil when it
+// simulates every flow.
+func Influence(sys *traffic.System, cfg SearchConfig) []int { return influence(sys, cfg) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"wormnoc/internal/noc"
 	"wormnoc/internal/traffic"
@@ -53,9 +54,14 @@ type SearchConfig struct {
 	// Table, when non-nil, is the busy-period table the search's
 	// jitter-free probes walk (DESIGN.md §10); searches of one system
 	// may share it, concurrently too, to simulate each busy period once.
-	// Nil gives the search a table of its own. The result does not
-	// depend on it.
+	// It also holds the restricted systems of the searches' influence
+	// sets, with a table each. Nil gives the search a table of its own.
+	// The result does not depend on it.
 	Table *BusyPeriodTable
+
+	// unrestricted makes the search simulate every flow, even when an
+	// influence set would do. Only tests set it.
+	unrestricted bool
 }
 
 // SearchResult reports the worst phasing found.
@@ -66,7 +72,9 @@ type SearchResult struct {
 	// target packet ever completed). Replaying it over the full horizon
 	// observes exactly Worst for the target.
 	Offsets []noc.Cycles
-	// Runs counts simulations performed, early-stopped probes included.
+	// Runs counts the probes the search made, whether simulated,
+	// walked through the busy-period table or resolved by the influence
+	// set without a run.
 	Runs int
 }
 
@@ -87,8 +95,17 @@ type SearchResult struct {
 // it applies the busy periods an earlier probe already simulated and
 // fast-forwards a recurrence, simulating only the busy periods it has
 // not seen and the one holding the target's last tick (DESIGN.md §10).
+// On single-cycle links the probes also simulate only the target's
+// influence set (see influence), since no other flow can move the
+// target's latency: a refinement batch over a flow outside the set
+// observes the current worst without a run, and every other probe runs
+// on the restricted system (Restrict) with its offsets projected onto
+// it. Table holds that system and its busy-period table, for every
+// search of the same set (DESIGN.md §10).
+//
 // Runs still counts every probe. The result depends only on the
-// configuration and seed, never on the worker count or the table.
+// configuration and seed, never on the worker count, the table or the
+// restriction.
 func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, error) {
 	n := sys.NumFlows()
 	if cfg.Target < 0 || cfg.Target >= n {
@@ -102,6 +119,11 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	}
 	if cfg.Base.TraceWriter != nil {
 		return nil, fmt.Errorf("sim: tracing is not supported during searches")
+	}
+	// Validated against sys, not the restricted system the probes may
+	// run: a dropped flow's offset or horizon overflow is still an error.
+	if err := validateConfig(sys, cfg.Base); err != nil {
+		return nil, err
 	}
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 8
@@ -117,26 +139,48 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 
+	table := cfg.Table
+	if table == nil {
+		table = new(BusyPeriodTable)
+	}
+	// The probes simulate psys, sys itself or the restricted system of
+	// the target's influence set, in which target is cfg.Target's index.
+	psys, target, keep := sys, cfg.Target, influence(sys, cfg)
+	inSet := func(int) bool { return true }
+	if keep != nil {
+		var err error
+		if psys, table, err = table.restrict(sys, keep); err != nil {
+			return nil, err
+		}
+		target, _ = slices.BinarySearch(keep, cfg.Target)
+		inSet = func(f int) bool { _, ok := slices.BinarySearch(keep, f); return ok }
+	}
+
 	best := &SearchResult{Worst: -1, Offsets: make([]noc.Cycles, n)}
 
 	// Candidate-offset buffers, reused for every batch (a restart probe
 	// is a batch of one in slot 0), and one evaluator whose per-worker
 	// engines stay warm across all batches. The candidates carry every
-	// offset, so the probes' base has none.
+	// flow's offset, so the probes' base has none; setCand projects
+	// them onto psys.
 	cands := make([][]noc.Cycles, cfg.ProbesPerFlow)
 	candStore := make([]noc.Cycles, cfg.ProbesPerFlow*n)
 	for i := range cands {
 		cands[i], candStore = candStore[:n:n], candStore[n:]
 	}
-	ph := NewPhasings(sys, cfg.Workers)
+	ph := NewPhasings(psys, cfg.Workers)
 	probe := cfg.Base
 	probe.Offsets = nil
-	probe.stopFlow = cfg.Target + 1
-	probe.table = cfg.Table
-	if probe.table == nil {
-		probe.table = new(BusyPeriodTable)
-	}
+	probe.stopFlow = target + 1
+	probe.table = table
 	setCand := func(i int, off []noc.Cycles) { copy(off, cands[i]) }
+	if keep != nil {
+		setCand = func(i int, off []noc.Cycles) {
+			for k, f := range keep {
+				off[k] = cands[i][f]
+			}
+		}
+	}
 
 	// evalBatch evaluates cands[0:k]: the target's largest latency and
 	// the first candidate reaching it.
@@ -146,7 +190,7 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 			return 0, 0, err
 		}
 		best.Runs += fold.Runs
-		return fold.Worst[cfg.Target], fold.At[cfg.Target], nil
+		return fold.Worst[target], fold.At[target], nil
 	}
 
 	cur := make([]noc.Cycles, n)
@@ -172,6 +216,15 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 					continue
 				}
 				period := int64(sys.Flow(f).Period)
+				if !inSet(f) {
+					// f cannot move the target: every probe observes
+					// curWorst, so none improves on cur.
+					for range cfg.ProbesPerFlow {
+						rng.Int63n(period)
+					}
+					best.Runs += cfg.ProbesPerFlow
+					continue
+				}
 				for p := 0; p < cfg.ProbesPerFlow; p++ {
 					copy(cands[p], cur)
 					cands[p][f] = noc.Cycles(rng.Int63n(period))
@@ -196,4 +249,56 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 		}
 	}
 	return best, nil
+}
+
+// influence returns the flows a search of cfg.Target must simulate, in
+// index order: the target and, transitively, every flow of higher
+// priority than a member that shares a link with it (the target's S^D,
+// their S^D in turn, and so on; DESIGN.md §10, "Influence-restricted
+// searches"). It returns
+// nil, and the search simulates every flow, when the set is the whole
+// system or when dropping the other flows could move the target:
+//
+//   - on links slower than one cycle, a lower-priority flit holds a
+//     link for linkl cycles once it wins it, delaying a higher-priority
+//     flit that becomes eligible meanwhile;
+//   - with jitter injected, the flows share one jitter stream, so
+//     dropping a jittered flow would shift the draws of the kept ones.
+func influence(sys *traffic.System, cfg SearchConfig) []int {
+	if cfg.unrestricted || sys.Topology().Config().LinkLatency != 1 {
+		return nil
+	}
+	n := sys.NumFlows()
+	onLink := make([][]int, sys.Topology().NumLinks())
+	for i := range n {
+		for _, l := range sys.Route(i) {
+			onLink[l] = append(onLink[l], i)
+		}
+	}
+	in := make([]bool, n)
+	in[cfg.Target] = true
+	for stack := []int{cfg.Target}; len(stack) > 0; {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, l := range sys.Route(m) {
+			for _, j := range onLink[l] {
+				if !in[j] && sys.HigherPriority(j, m) {
+					in[j] = true
+					stack = append(stack, j)
+				}
+			}
+		}
+	}
+	var keep []int
+	for i := range n {
+		if in[i] {
+			keep = append(keep, i)
+		} else if cfg.Base.InjectJitter && sys.Flow(i).Jitter > 0 {
+			return nil
+		}
+	}
+	if len(keep) == n {
+		return nil
+	}
+	return keep
 }

@@ -31,7 +31,11 @@
 // of systems with short hyperperiods or small key spaces also walk a
 // BusyPeriodTable, which stores every busy period they simulate, keyed
 // by the phasing it starts from, so probes sharing the table simulate
-// each busy period once (DESIGN.md §10, "Busy-period table").
+// each busy period once (DESIGN.md §10, "Busy-period table"). On
+// single-cycle links a search simulates only its target's influence
+// set, the flows of higher priority that can reach it through shared
+// links, on a Restrict-ed system (DESIGN.md §10, "Influence-restricted
+// searches").
 package sim
 
 import (
