@@ -92,13 +92,13 @@ exhaust generates N deliberately tiny scenarios (mesh dims <= M, <= F
         symmetry quotient + contention-cluster decomposition, default
         -reduce=all); -reduce=none restores the raw grid enumeration
         for differential validation. Scenarios whose reduced space
-        exceeds the state budget are reported as skipped; budget- or
-        timeout-truncated enumerations are reported as truncated, never
-        as proofs. -period-min/-period-max widen the generated period
-        range (longer periods multiply the raw grid — the configs only
-        reduction makes reachable). -require-complete exits with code 2
-        unless every scenario produced a complete proof (no skips, no
-        truncations), which is what the nightly sweep asserts.
+        exceeds the state budget are reported as skipped; every
+        enumerated scenario is a complete proof, and -timeout stops the
+        matrix between scenarios. -period-min/-period-max widen the
+        generated period range (longer periods multiply the raw grid —
+        the configs only reduction makes reachable). -require-complete
+        exits with code 2 unless every scenario produced a complete
+        proof (no skips, no timeout), which is what CI asserts.
         Violations shrink to artifacts exactly as with run.
 replay  re-runs the check an artifact records; exit 3 if it reproduces.
 corpus  emits go-fuzz seed files (one int64 seed each) for
@@ -274,18 +274,17 @@ func (t *huntTally) table() string {
 // proofs over the raw grid, so the report shows which part of the
 // matrix only exists because of the symmetry/cluster reductions.
 type gapRow struct {
-	Scenario     int    `json:"scenario"`
-	Seed         int64  `json:"seed"`
-	Flow         int    `json:"flow"`
-	Search       int64  `json:"search"`
-	Exhaustive   int64  `json:"exhaustive"`
-	Gap          int64  `json:"gap"`
-	Proven       bool   `json:"proven"`
-	ViaReduction bool   `json:"via_reduction,omitempty"`
-	GridSize     int64  `json:"grid_size"`
-	ReducedGrid  int64  `json:"reduced_grid_size"`
-	States       int64  `json:"states"`
-	Truncation   string `json:"truncation,omitempty"`
+	Scenario     int   `json:"scenario"`
+	Seed         int64 `json:"seed"`
+	Flow         int   `json:"flow"`
+	Search       int64 `json:"search"`
+	Exhaustive   int64 `json:"exhaustive"`
+	Gap          int64 `json:"gap"`
+	Proven       bool  `json:"proven"`
+	ViaReduction bool  `json:"via_reduction,omitempty"`
+	GridSize     int64 `json:"grid_size"`
+	ReducedGrid  int64 `json:"reduced_grid_size"`
+	States       int64 `json:"states"`
 }
 
 // gapReport is the DIR/gap-report.json schema: campaign-level coverage
@@ -297,7 +296,6 @@ type gapReport struct {
 	Complete     int      `json:"complete"`
 	ViaReduction int      `json:"via_reduction"`
 	Skipped      int      `json:"skipped"`
-	Truncated    int      `json:"truncated"`
 	SimRuns      int      `json:"sim_runs"`
 	StatesSaved  int64    `json:"states_saved"`
 	MaxGap       int64    `json:"max_gap"`
@@ -320,7 +318,7 @@ func cmdExhaust(args []string) {
 		reduce    = fs.String("reduce", "all", "state-space reductions: all, none, symmetry or clusters (budget gates on the reduced size)")
 		periodMin = fs.Int64("period-min", 6, "min generated flow period, cycles")
 		periodMax = fs.Int64("period-max", 18, "max generated flow period, cycles (the raw grid is the product of the periods)")
-		require   = fs.Bool("require-complete", false, "exit 2 unless every scenario yields a complete proof (no skips, no truncations)")
+		require   = fs.Bool("require-complete", false, "exit 2 unless every scenario yields a complete proof (no skips)")
 		keepGoing = fs.Bool("keep-going", false, "check all N scenarios even after violations")
 		verbose   = fs.Bool("v", false, "log every scenario, not just violating ones")
 	)
@@ -381,13 +379,9 @@ func cmdExhaust(args []string) {
 			}
 		} else {
 			ex := rep.Exhaustive
-			if ex.Complete {
-				report.Complete++
-				if ex.StatesSaved > 0 {
-					report.ViaReduction++
-				}
-			} else {
-				report.Truncated++
+			report.Complete++
+			if ex.StatesSaved > 0 {
+				report.ViaReduction++
 			}
 			report.StatesSaved += ex.StatesSaved
 			for _, g := range ex.Gaps {
@@ -403,15 +397,14 @@ func cmdExhaust(args []string) {
 					GridSize:     ex.GridSize,
 					ReducedGrid:  ex.ReducedGridSize,
 					States:       ex.States,
-					Truncation:   ex.Truncation,
 				})
 				if int64(g.Gap) > report.MaxGap {
 					report.MaxGap = int64(g.Gap)
 				}
 			}
 			if *verbose {
-				fmt.Printf("[%d/%d] %s: %d/%d phasings (raw %d), complete=%v, %d gap rows\n",
-					i+1, *n, sc, ex.States, ex.ReducedGridSize, ex.GridSize, ex.Complete, len(ex.Gaps))
+				fmt.Printf("[%d/%d] %s: %d/%d phasings (raw %d), %d gap rows\n",
+					i+1, *n, sc, ex.States, ex.ReducedGridSize, ex.GridSize, len(ex.Gaps))
 			}
 		}
 		if len(rep.Violations) == 0 {
@@ -480,9 +473,9 @@ func cmdExhaust(args []string) {
 		fatal(err)
 	}
 
-	fmt.Printf("%d/%d scenarios checked: %d enumerated (%d complete proofs, %d via reduction, %d truncated), %d skipped, %d states saved, max search gap %d cycles\n",
+	fmt.Printf("%d/%d scenarios checked: %d enumerated (%d complete proofs, %d via reduction), %d skipped, %d states saved, max search gap %d cycles\n",
 		stats.Checked, *n, stats.Exhausted, report.Complete, report.ViaReduction,
-		report.Truncated, report.Skipped, report.StatesSaved, report.MaxGap)
+		report.Skipped, report.StatesSaved, report.MaxGap)
 	fmt.Printf("gap report written to %s\n", path)
 	if timedOut {
 		fmt.Printf("TIMED OUT after %s: coverage above is partial, not a proof of the full matrix\n", *timeout)
@@ -490,9 +483,9 @@ func cmdExhaust(args []string) {
 	if stats.Violations > 0 {
 		os.Exit(3)
 	}
-	if *require && (report.Skipped > 0 || report.Truncated > 0 || timedOut || stats.Checked < *n) {
-		fmt.Printf("REQUIRE-COMPLETE FAILED: %d skipped, %d truncated, %d/%d checked\n",
-			report.Skipped, report.Truncated, stats.Checked, *n)
+	if *require && (report.Skipped > 0 || timedOut || stats.Checked < *n) {
+		fmt.Printf("REQUIRE-COMPLETE FAILED: %d skipped, %d/%d checked\n",
+			report.Skipped, stats.Checked, *n)
 		os.Exit(2)
 	}
 }

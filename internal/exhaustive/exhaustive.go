@@ -57,40 +57,32 @@
 //
 // # Busy-period cut
 //
-// A stride-1 pass simulates each phasing only to its first idle
-// instant, the first cycle after the first release at which every
-// released packet has been delivered (sim.Engine.RunBusyPeriod). The
-// engine is deterministic and tie-free, so from an idle instant t the
-// rest of the run depends only on the vector of next releases minus
-// t, a grid point whose shift representative is explored too, with a
-// horizon at least as long. Every busy period of every full-horizon
-// run is therefore the first busy period of an explored
-// representative, and per-flow worst cases and Proven verdicts are
-// those of full-horizon runs (DESIGN.md §15). Strided sampling and
-// refinement skip representatives, so they keep full-horizon runs.
+// Each phasing is simulated only to its first idle instant, the first
+// cycle after the first release at which every released packet has
+// been delivered (sim.Engine.RunBusyPeriod). The engine is
+// deterministic and tie-free, so from an idle instant t the rest of
+// the run depends only on the vector of next releases minus t, a grid
+// point whose shift representative is explored too, with a horizon at
+// least as long. Every busy period of every full-horizon run is
+// therefore the first busy period of an explored representative, and
+// per-flow worst cases and Proven verdicts are those of full-horizon
+// runs (DESIGN.md §15).
 //
-// # Budgets and truncation
+// # Budget
 //
-// Exploration is bounded twice: MaxStates caps the number of phasings
-// simulated (exceeding it either fails or, with AllowTruncated, falls
-// back to deterministic stride sampling plus local refinement), and an
-// optional Context cancels long runs. Either truncation is reported
-// explicitly — Result.Complete is false, Result.Truncation says why, and
-// Result.Proven never claims a proof for a truncated run. Truncated
-// results remain valid lower bounds on the true worst case and any
-// bound exceedance they witness is a real violation.
+// MaxStates caps the number of phasings simulated. Explore either
+// enumerates the whole reduced space or, when that space exceeds the
+// budget, refuses with an error: every Result it returns is Complete.
 //
-// Each group's sampled phasings are one batch of a sim.Phasings
-// evaluator, which fans them out over warm per-worker engines and folds
-// per-flow maxima to the lowest enumeration index, so the Result is
+// Each group's representatives are one batch of a sim.Phasings evaluator,
+// which fans them out over warm per-worker engines and folds per-flow
+// maxima to the lowest enumeration index, so the Result is
 // bit-identical at any worker count. internal/oracle wires Explore in
 // as the exhaustive-divergent invariant class; cmd/nocfuzz's exhaust
 // subcommand drives whole matrices of small configurations through it.
 package exhaustive
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -114,9 +106,6 @@ const (
 	// phasing, not a whole horizon, so on typical tiny configurations
 	// that is a few seconds of single-core work at most.
 	DefaultMaxStates = 1 << 20
-	// DefaultDedupCap bounds the visited set of the refinement pass (see
-	// Config.DedupCap).
-	DefaultDedupCap = 1 << 16
 )
 
 // ClusterSpace sizes one contention cluster's share of the state space.
@@ -162,10 +151,10 @@ type Space struct {
 	SuggestedDuration noc.Cycles
 }
 
-// SizeUnder returns the number of phasings Explore enumerates at stride
-// 1 under reduction mode r. Callers budgeting an exploration (the
-// oracle's skip decision) must size against the mode they will run, not
-// the raw grid — that is the whole point of the reductions.
+// SizeUnder returns the number of phasings Explore enumerates under
+// reduction mode r. Callers budgeting an exploration (the oracle's skip
+// decision) must size against the mode they will run, not the raw grid —
+// that is the whole point of the reductions.
 func (sp Space) SizeUnder(r Reduction) int64 {
 	switch r {
 	case ReduceNone:
@@ -196,8 +185,9 @@ func (sp Space) SizeUnder(r Reduction) int64 {
 // it to decide whether a configuration fits an exhaustive budget (the
 // oracle skips the invariant, loudly, when it does not). The error
 // reports structural limits — too many flows or nodes, an arbitration
-// tie, arithmetic overflow of the grid or horizon — not budget
-// overruns, which are Explore's to enforce.
+// tie, arithmetic overflow of the grid or horizon, or a horizon the
+// simulator would refuse — not budget overruns, which are Explore's to
+// enforce.
 func Plan(sys *traffic.System) (Space, error) {
 	var sp Space
 	n := sys.NumFlows()
@@ -235,6 +225,15 @@ func Plan(sys *traffic.System) (Space, error) {
 		return sp, fmt.Errorf("exhaustive: suggested horizon overflows int64 (periods too large)")
 	}
 	sp.SuggestedDuration = sp.Hyperperiod + 2*sp.MaxDeadline + 1
+	// The simulator's own horizon rule: releases advance by Tᵢ from
+	// instants below the horizon, are delayed by up to Jᵢ and take Cᵢ.
+	for i := 0; i < n; i++ {
+		f := sys.Flow(i)
+		if noc.SatAdd(sp.SuggestedDuration, noc.SatAdd(noc.SatAdd(f.Period, f.Jitter), sys.C(i))) == noc.MaxCycles {
+			return sp, fmt.Errorf("exhaustive: flow %d: suggested horizon %d + T %d + J %d + C %d overflows int64 (periods too large)",
+				i, sp.SuggestedDuration, f.Period, f.Jitter, sys.C(i))
+		}
+	}
 	for _, members := range core.BuildSets(sys).Clusters() {
 		c := ClusterSpace{Flows: members, GridSize: 1}
 		rest := int64(1)
@@ -251,11 +250,11 @@ func Plan(sys *traffic.System) (Space, error) {
 }
 
 // Config parameterises one exploration. The zero value explores the
-// fully-reduced state space at stride 1 (a proof, when it fits
-// DefaultMaxStates) with the auto horizon and all CPUs.
+// fully-reduced state space (a proof, when it fits DefaultMaxStates)
+// with the auto horizon and all CPUs.
 type Config struct {
-	// Duration is the simulation horizon per phasing (a stride-1 run
-	// ends earlier when its first busy period does); 0 selects
+	// Duration is the simulation horizon per phasing (a run ends earlier
+	// when its first busy period does); 0 selects
 	// Space.SuggestedDuration. Shorter horizons weaken the certified
 	// class ("worst within Duration"), never the chain invariants — the
 	// comparison search must simply run the same horizon.
@@ -264,34 +263,13 @@ type Config struct {
 	// zero value is ReduceAll: both reductions are exact, so they are
 	// on unless a differential run switches them off.
 	Reduce Reduction
-	// Stride samples every Stride-th enumerated state when > 1. A
-	// strided run is explicitly NOT a proof (Complete stays false); it
-	// exists for configurations whose state space exceeds any budget,
-	// paired with the refinement pass around each flow's best phasing.
-	Stride int64
-	// MaxStates caps the number of phasings simulated in the systematic
-	// pass (0 = DefaultMaxStates). When the strided state space still
-	// exceeds it, Explore fails — or, with AllowTruncated, raises the
-	// stride deterministically and reports the truncation.
+	// MaxStates caps the number of phasings simulated
+	// (0 = DefaultMaxStates). Explore fails when the reduced state
+	// space exceeds it.
 	MaxStates int64
-	// AllowTruncated permits the budget to degrade the run into stride
-	// sampling instead of returning an error. The result is then marked
-	// Complete=false with the reason in Truncation.
-	AllowTruncated bool
 	// Workers bounds the engines simulating phasings at once
 	// (0 = GOMAXPROCS). The result is bit-identical for any value.
 	Workers int
-	// Context, when non-nil, cancels a long exploration. A cancelled run
-	// returns the states merged so far, marked truncated; which states
-	// those are depends on timing, so only state-budget truncation is
-	// deterministic.
-	Context context.Context
-	// DedupCap bounds the refinement pass's visited set (0 =
-	// DefaultDedupCap). The set stores exact encoded offset vectors —
-	// internal/canon-style length-stable little-endian keys — so a hit
-	// can never alias two distinct phasings; overflowing the cap only
-	// costs duplicate simulations, never correctness.
-	DedupCap int
 }
 
 // FlowResult is one flow's exhaustive outcome.
@@ -300,8 +278,7 @@ type FlowResult struct {
 	// or -1 when no packet of the flow ever completed.
 	Worst noc.Cycles
 	// Offsets is the first (lowest enumeration index) phasing whose
-	// explored run reaches Worst: on a stride-1 pass, the first whose
-	// first busy period does. It is always an ordinary point of the raw
+	// first busy period reaches Worst. It is always an ordinary point of the raw
 	// grid — canonical representatives are grid members and cluster
 	// witnesses embed with zero offsets for the other clusters — so it
 	// replays directly through sim.Run on the full system, to Worst at
@@ -310,8 +287,8 @@ type FlowResult struct {
 	// Censored counts explored phasings in which a packet of this flow
 	// released at least a deadline before the horizon failed to complete
 	// — direct evidence of a latency beyond the deadline that the
-	// horizon cut off. On a stride-1 pass only a run whose first busy
-	// period reaches the horizon can censor: a packet a full-horizon run
+	// horizon cut off. Only a run whose first busy period reaches the
+	// horizon can censor: a packet a full-horizon run
 	// censors may instead complete late in the representative whose
 	// first busy period holds it, and count as a deadline miss. The flag
 	// Censored > 0 || DeadlineMisses > 0 is the same either way. It
@@ -335,7 +312,7 @@ type Reductions struct {
 	Clusters int
 	// RawGridSize echoes Space.GridSize, the unreduced Π Periodᵢ.
 	RawGridSize int64
-	// ReducedGridSize is the stride-1 enumeration size under Mode
+	// ReducedGridSize is the enumeration size under Mode
 	// (Space.SizeUnder(Mode)).
 	ReducedGridSize int64
 	// StatesSaved is RawGridSize − ReducedGridSize: simulations the
@@ -356,44 +333,28 @@ type Result struct {
 	Space Space
 	// Reductions reports the reduction mode and its savings.
 	Reductions Reductions
-	// Duration is the horizon every phasing was simulated for; on a
-	// stride-1 pass a run ends earlier when its first busy period does.
+	// Duration is the horizon every phasing was simulated for; a run
+	// ends earlier when its first busy period does.
 	Duration noc.Cycles
-	// Stride is the effective sampling stride of the systematic pass
-	// (1 = full enumeration of the reduced space).
-	Stride int64
-	// Explored counts the systematic pass's sampled states;
-	// Refined counts the refinement pass's additional simulations;
-	// States = Explored + Refined is everything simulated.
-	Explored, Refined, States int64
-	// Deduped counts refinement candidates skipped because they were
-	// provably already simulated (on the sampled lattice or in the
-	// visited set).
-	Deduped int64
-	// Complete reports whether the reduced state space was enumerated
-	// at stride 1 without cancellation — the precondition of every
-	// proof claim. The reductions are exact, so a complete reduced run
-	// proves exactly what a complete raw run proves.
+	// States counts the phasings simulated: the whole reduced space,
+	// Reductions.ReducedGridSize.
+	States int64
+	// Complete is true on every Result Explore returns: the reduced
+	// state space was enumerated in full, the precondition of every
+	// proof claim. The reductions are exact, so a reduced run proves
+	// exactly what a raw run proves.
 	Complete bool
-	// Truncation is empty for complete runs; otherwise it states what
-	// was cut (stride sampling, state budget, cancellation) so callers
-	// can never mistake a truncated run for a proof.
-	Truncation string
 
 	priorities []int
 }
 
 // Proven reports whether Flows[i].Worst is the provable true worst case
-// of flow i over the certified class: the run must be Complete and no
-// flow at equal-or-higher priority (including i itself) may have
-// censored packets or deadline misses — the steady-state horizon
-// argument presumes the interferer subsystem actually meets its
-// deadlines. A truncated or censored run still yields valid *lower*
-// bounds (and hence valid violations), just no proof of absence.
+// of flow i over the certified class: no flow at equal-or-higher
+// priority (including i itself) may have censored packets or deadline
+// misses — the steady-state horizon argument presumes the interferer
+// subsystem actually meets its deadlines. A censored run still yields valid *lower* bounds (and
+// hence valid violations), just no proof of absence.
 func (r *Result) Proven(i int) bool {
-	if !r.Complete {
-		return false
-	}
 	for j := range r.Flows {
 		if r.priorities[j] <= r.priorities[i] &&
 			(r.Flows[j].Censored > 0 || r.Flows[j].DeadlineMisses > 0) {
@@ -403,27 +364,24 @@ func (r *Result) Proven(i int) bool {
 	return true
 }
 
-// group is one independently-explorable flow subset with its share of
-// the concatenated enumeration index space [base, base+e.size). With
-// cluster decomposition off there is a single group holding every flow
-// and the original System; with it on, each contention cluster gets a
-// sim.Restrict sub-system, which simulates the cluster's flows
-// bit-identically to the full system (the flows provably never meet a
-// flow outside the cluster on any link). All groups share one global
-// Duration — the full system's horizon — so the certified class is the
-// same one an unreduced run certifies.
+// group is one independently-explorable flow subset and the enumerator
+// of its offset grid. With cluster decomposition off there is a single
+// group holding every flow and the original System; with it on, each
+// contention cluster gets a sim.Restrict sub-system, which simulates the
+// cluster's flows bit-identically to the full system (the flows provably
+// never meet a flow outside the cluster on any link). All groups share
+// one global Duration — the full system's horizon — so the certified
+// class is the same one an unreduced run certifies.
 type group struct {
 	flows   []int // member flow indices in the full system
 	sys     *traffic.System
 	e       enum
-	base    int64
 	rawSize int64
-	periods []int64
 }
 
 // buildGroups materialises the reduction mode's flow groups and their
-// enumerators. It also returns the flow→group index mapping.
-func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, []int, error) {
+// enumerators.
+func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, error) {
 	n := sys.NumFlows()
 	var members [][]int
 	if mode.clusters() && len(sp.Clusters) > 1 {
@@ -438,8 +396,6 @@ func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, []int,
 		members = [][]int{all}
 	}
 	groups := make([]group, len(members))
-	groupOf := make([]int, n)
-	var base int64
 	for gi, flows := range members {
 		g := &groups[gi]
 		g.flows = flows
@@ -447,27 +403,28 @@ func buildGroups(sys *traffic.System, sp Space, mode Reduction) ([]group, []int,
 		if len(flows) != n {
 			sub, err := sim.Restrict(sys, flows)
 			if err != nil {
-				return nil, nil, fmt.Errorf("exhaustive: cluster restriction: %w", err)
+				return nil, fmt.Errorf("exhaustive: cluster restriction: %w", err)
 			}
 			g.sys = sub
 		}
-		g.periods = make([]int64, len(flows))
+		periods := make([]int64, len(flows))
 		g.rawSize = 1
 		for k, fi := range flows {
-			f := sys.Flow(fi)
-			g.periods[k] = int64(f.Period)
-			g.rawSize *= g.periods[k]
-			groupOf[fi] = gi
+			periods[k] = int64(sys.Flow(fi).Period)
+			g.rawSize *= periods[k]
 		}
-		g.e = newEnum(g.periods, mode.symmetry())
-		g.base = base
-		base += g.e.size
+		g.e = newEnum(periods, mode.symmetry())
 	}
-	return groups, groupOf, nil
+	return groups, nil
 }
 
 // reductionStats derives the Reductions record for a run over groups.
-func reductionStats(sp Space, mode Reduction, groups []group, total int64) Reductions {
+func reductionStats(sp Space, mode Reduction, groups []group) Reductions {
+	var total, raw int64
+	for i := range groups {
+		total += groups[i].e.size
+		raw += groups[i].rawSize
+	}
 	red := Reductions{
 		Mode:            mode,
 		Clusters:        len(groups),
@@ -477,10 +434,6 @@ func reductionStats(sp Space, mode Reduction, groups []group, total int64) Reduc
 		SymmetryFactor:  1,
 	}
 	if mode.symmetry() && total > 0 {
-		var raw int64
-		for i := range groups {
-			raw += groups[i].rawSize
-		}
 		red.SymmetryFactor = float64(raw) / float64(total)
 	}
 	return red
@@ -488,11 +441,9 @@ func reductionStats(sp Space, mode Reduction, groups []group, total int64) Reduc
 
 // Explore enumerates the phasing state space of sys — reduced per
 // cfg.Reduce — and returns every flow's worst case over the full
-// canonical phasing class. It is deterministic in (sys, cfg) —
-// including at any Workers value — except for Context-cancelled runs,
-// whose partial coverage depends on timing. Structural errors (limits,
-// ties, an over-budget state space without AllowTruncated) return a
-// nil Result.
+// canonical phasing class. It is deterministic in (sys, cfg), including
+// at any Workers value. Structural errors (limits, ties) and a reduced
+// state space beyond cfg.MaxStates return a nil Result.
 func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 	sp, err := Plan(sys)
 	if err != nil {
@@ -503,6 +454,7 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 		Flows:      make([]FlowResult, n),
 		Space:      sp,
 		Duration:   cfg.Duration,
+		Complete:   true,
 		priorities: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
@@ -513,70 +465,31 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 	if res.Duration <= 0 {
 		res.Duration = sp.SuggestedDuration
 	}
-	groups, groupOf, err := buildGroups(sys, sp, cfg.Reduce)
+	groups, err := buildGroups(sys, sp, cfg.Reduce)
 	if err != nil {
 		return nil, err
 	}
-	lastG := &groups[len(groups)-1]
-	total := lastG.base + lastG.e.size
-	res.Reductions = reductionStats(sp, cfg.Reduce, groups, total)
+	res.Reductions = reductionStats(sp, cfg.Reduce, groups)
 
 	maxStates := cfg.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	stride := cfg.Stride
-	if stride < 1 {
-		stride = 1
+	if total := res.Reductions.ReducedGridSize; total > maxStates {
+		return nil, fmt.Errorf("exhaustive: reduced state space of %d phasings (raw grid %d) exceeds the state budget of %d",
+			total, sp.GridSize, maxStates)
 	}
-	if stride > 1 {
-		res.Truncation = fmt.Sprintf("stride %d sampling requested: %d of %d phasings", stride, ceilDiv(total, stride), total)
-	}
-	if ceilDiv(total, stride) > maxStates {
-		if !cfg.AllowTruncated {
-			if total != sp.GridSize {
-				return nil, fmt.Errorf("exhaustive: reduced state space of %d phasings (raw grid %d) exceeds the state budget of %d (set AllowTruncated for stride sampling)",
-					total, sp.GridSize, maxStates)
-			}
-			return nil, fmt.Errorf("exhaustive: grid of %d phasings exceeds the state budget of %d (set AllowTruncated for stride sampling)",
-				total, maxStates)
-		}
-		stride = ceilDiv(total, maxStates)
-		res.Truncation = fmt.Sprintf("state budget %d: stride raised to %d, sampling %d of %d phasings",
-			maxStates, stride, ceilDiv(total, stride), total)
-	}
-	res.Stride = stride
-	res.Explored = ceilDiv(total, stride)
 
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// One evaluator per group, shared by the systematic pass and the
-	// refinement. Each group's sampled indices k·stride in
-	// [base, base+size) are one batch; a flow belongs to exactly one
-	// group, so its batch's fold is its result.
-	evals := make([]*sim.Phasings, len(groups))
-	cancelled := false
+	// Each group's representatives are one batch of its own evaluator; a
+	// flow belongs to exactly one group, so its batch's fold is its
+	// result. Every run stops at its first idle instant: every later
+	// busy period is the first busy period of another representative
+	// (DESIGN.md §15).
 	for gi := range groups {
 		g := &groups[gi]
-		k0 := ceilDiv(g.base, stride)
-		runs := ceilDiv(g.base+g.e.size, stride) - k0
-		if runs <= 0 {
-			continue
-		}
-		evals[gi] = sim.NewPhasings(g.sys, cfg.Workers)
-		decode := func(i int, off []noc.Cycles) { g.e.decode((k0+int64(i))*stride-g.base, off) }
-		// A stride-1 pass enumerates every representative, so each run
-		// can stop at its first idle instant: every later busy period is
-		// the first busy period of another representative (DESIGN.md
-		// §15). Strided sampling cannot rely on that.
-		eval := evals[gi].Eval
-		if stride == 1 {
-			eval = evals[gi].EvalBusyPeriods
-		}
-		fold, err := eval(ctx, sim.Config{Duration: res.Duration}, int(runs), decode)
-		if err != nil && (fold == nil || ctx.Err() == nil) {
+		decode := func(i int, off []noc.Cycles) { g.e.decode(int64(i), off) }
+		fold, err := sim.NewPhasings(g.sys, cfg.Workers).EvalBusyPeriods(sim.Config{Duration: res.Duration}, int(g.e.size), decode)
+		if err != nil {
 			return nil, fmt.Errorf("exhaustive: exploration failed: %w", err)
 		}
 		res.States += int64(fold.Runs)
@@ -596,103 +509,6 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if err != nil {
-			cancelled = true
-			res.Truncation = fmt.Sprintf("cancelled mid-exploration: %v; partial coverage only", err)
-			break
-		}
 	}
-
-	if stride > 1 && !cancelled {
-		refine(cfg, res, groups, groupOf, evals)
-	}
-	res.Complete = stride == 1 && !cancelled
 	return res, nil
 }
-
-// refine runs the local-refinement pass of a strided exploration:
-// around every flow's best-known phasing, each coordinate of the flow's
-// own group is swept over the stride-wide window the sampling skipped
-// (coordinates of other groups provably cannot move the flow's worst
-// case). Candidates already on the sampled lattice, or already tried by
-// an overlapping window, are deduplicated — the former exactly by
-// enumeration-rank arithmetic, the latter by the bounded visited set.
-// Swept vectors may leave the canonical representative set; they are
-// still ordinary class members, so their latencies are valid lower
-// bounds, which is all a truncated run reports. Each flow's candidates,
-// generated in a fixed sweep order, are one batch of its group's
-// evaluator, and the batches run in flow order, so strided results stay
-// deterministic at any worker count.
-func refine(cfg Config, res *Result, groups []group, groupOf []int, evals []*sim.Phasings) {
-	dedupCap := cfg.DedupCap
-	if dedupCap <= 0 {
-		dedupCap = DefaultDedupCap
-	}
-	visited := make(map[string]struct{}, 1024)
-	var cands []noc.Cycles // the current flow's candidates, back to back
-	for target := range res.Flows {
-		if res.Flows[target].Worst < 0 {
-			continue // no witness to refine around
-		}
-		gi := groupOf[target]
-		g := &groups[gi]
-		m := len(g.flows)
-		// Group-local projection of the target's best-known witness.
-		base := make([]noc.Cycles, m)
-		for k, fi := range g.flows {
-			base[k] = res.Flows[target].Offsets[fi]
-		}
-		// Keys carry the group index so equal-length vectors of
-		// different groups can never alias in the visited set.
-		keyBuf := make([]byte, 1+8*m)
-		keyBuf[0] = byte(gi)
-		off := make([]noc.Cycles, m)
-		cands = cands[:0]
-		for fk := range g.flows {
-			for d := int64(1); d < res.Stride; d++ {
-				for _, sign := range [2]int64{1, -1} {
-					copy(off, base)
-					p := g.periods[fk]
-					off[fk] = noc.Cycles(((int64(base[fk])+sign*d)%p + p) % p)
-					if r := g.e.encode(off); r >= 0 && (g.base+r)%res.Stride == 0 {
-						res.Deduped++ // on the sampled lattice: already simulated
-						continue
-					}
-					for k, o := range off {
-						binary.LittleEndian.PutUint64(keyBuf[1+8*k:], uint64(o))
-					}
-					if _, dup := visited[string(keyBuf)]; dup {
-						res.Deduped++
-						continue
-					}
-					if len(visited) < dedupCap {
-						visited[string(keyBuf)] = struct{}{}
-					}
-					cands = append(cands, off...)
-				}
-			}
-		}
-		// Not cancellable: a refinement cut short by cfg.Context would
-		// leave a strided result that depends on timing without saying so.
-		fold, err := evals[gi].Eval(context.Background(), sim.Config{Duration: res.Duration}, len(cands)/m,
-			func(i int, o []noc.Cycles) { copy(o, cands[i*m:]) })
-		if err != nil {
-			return // validated inputs cannot fail; keep partial refinement
-		}
-		res.Refined += int64(fold.Runs)
-		res.States += int64(fold.Runs)
-		for k, fi := range g.flows {
-			fr := &res.Flows[fi]
-			if fold.Worst[k] > fr.Worst {
-				fr.Worst = fold.Worst[k]
-				for kk, fj := range g.flows {
-					fr.Offsets[fj] = cands[fold.At[k]*m+kk]
-				}
-			}
-			fr.Censored += fold.Censored[k]
-			fr.DeadlineMisses += fold.Misses[k]
-		}
-	}
-}
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

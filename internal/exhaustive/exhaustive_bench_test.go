@@ -42,7 +42,7 @@ func benchExplore(b *testing.B, mode exhaustive.Reduction) {
 				b.Fatal(err)
 			}
 			if !res.Complete {
-				b.Fatalf("reference configuration did not complete: %s", res.Truncation)
+				b.Fatal("reference configuration did not complete")
 			}
 			states = res.States
 		}
@@ -63,7 +63,7 @@ func BenchmarkExhaustiveRaw(b *testing.B) { benchExplore(b, exhaustive.ReduceNon
 // this pair.
 func BenchmarkExhaustiveReduced(b *testing.B) { benchExplore(b, exhaustive.ReduceAll) }
 
-// clusterRun is one simulation of a proof's stride-1 pass: a cluster's
+// clusterRun is one simulation of a proof: a cluster's
 // restricted system and one of its shift representatives.
 type clusterRun struct {
 	eng     *sim.Engine
@@ -137,8 +137,8 @@ func benchRepresentatives(b *testing.B, busyPeriod bool) {
 
 // BenchmarkExhaustiveFullHorizon is the before side of the busy-period
 // pair: every cluster representative of the reference configuration
-// simulated by Engine.Run for the whole proof horizon, as the stride-1
-// pass did before the cut.
+// simulated by Engine.Run for the whole proof horizon, as Explore did
+// before the cut.
 func BenchmarkExhaustiveFullHorizon(b *testing.B) { benchRepresentatives(b, false) }
 
 // BenchmarkExhaustiveBusyPeriod is the after side: the same

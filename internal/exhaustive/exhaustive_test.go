@@ -1,7 +1,6 @@
 package exhaustive
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -117,14 +116,11 @@ func TestExploreHandChecked(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !res.Complete {
-				t.Fatalf("tiny grid not explored completely: %s", res.Truncation)
+				t.Fatal("tiny grid not explored completely")
 			}
-			if res.Truncation != "" {
-				t.Fatalf("complete run carries truncation note %q", res.Truncation)
-			}
-			if res.States != res.Space.ReducedGridSize || res.Explored != res.Space.ReducedGridSize {
-				t.Fatalf("complete run states=%d explored=%d, want reduced grid %d",
-					res.States, res.Explored, res.Space.ReducedGridSize)
+			if res.States != res.Space.ReducedGridSize {
+				t.Fatalf("complete run states=%d, want reduced grid %d",
+					res.States, res.Space.ReducedGridSize)
 			}
 			if res.States > res.Space.GridSize {
 				t.Fatalf("reduced run simulated %d states, more than the raw grid %d",
@@ -182,7 +178,7 @@ func TestExploreHandChecked(t *testing.T) {
 }
 
 // TestExploreDeterministicAcrossWorkers asserts bit-identical results at
-// any parallelism, for both complete and stride-truncated explorations.
+// any parallelism, under every reduction mode.
 func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	sys := traffic.MustSystem(line2(t), []traffic.Flow{
 		{Name: "h", Priority: 1, Period: 8, Deadline: 8, Length: 2, Src: 0, Dst: 1},
@@ -194,10 +190,6 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 		{Reduce: ReduceNone},
 		{Reduce: ReduceSymmetry},
 		{Reduce: ReduceClusters},
-		{MaxStates: 100, AllowTruncated: true, Reduce: ReduceNone},
-		{MaxStates: 10, AllowTruncated: true},
-		{Stride: 7, Reduce: ReduceNone},
-		{Stride: 3},
 	} {
 		var base *Result
 		for _, workers := range []int{1, 2, 8} {
@@ -239,72 +231,20 @@ func TestExploreRepeatable(t *testing.T) {
 	}
 }
 
-// TestExploreTruncationHonesty: budget-capped runs must refuse or
-// degrade loudly, and must never claim Complete or Proven.
-func TestExploreTruncationHonesty(t *testing.T) {
+// TestExploreOverBudgetRefuses: a reduced space beyond MaxStates is
+// refused with an error naming the budget, never explored in part.
+func TestExploreOverBudgetRefuses(t *testing.T) {
 	sys := traffic.MustSystem(line2(t), []traffic.Flow{
 		{Name: "h", Priority: 1, Period: 8, Deadline: 8, Length: 2, Src: 0, Dst: 1},
 		{Name: "l", Priority: 2, Period: 12, Deadline: 12, Length: 3, Src: 0, Dst: 1},
 	})
-	if _, err := Explore(sys, Config{MaxStates: 10}); err == nil {
-		t.Fatal("over-budget grid without AllowTruncated did not error")
-	}
-	res, err := Explore(sys, Config{MaxStates: 10, AllowTruncated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("budget-truncated run claims Complete")
-	}
-	if !strings.Contains(res.Truncation, "state budget") {
-		t.Fatalf("truncation reason %q does not name the budget", res.Truncation)
-	}
-	if res.Stride <= 1 {
-		t.Fatalf("truncated run kept stride %d", res.Stride)
-	}
-	for i := range res.Flows {
-		if res.Proven(i) {
-			t.Fatalf("flow %d proven on a truncated run", i)
+	for _, mode := range []Reduction{ReduceAll, ReduceNone} {
+		res, err := Explore(sys, Config{MaxStates: 10, Reduce: mode})
+		if err == nil || res != nil {
+			t.Fatalf("mode %v: over-budget space gave result %v, error %v; want nil and an error", mode, res, err)
 		}
-	}
-	// The strided sample plus refinement is still a valid lower bound.
-	full, err := Explore(sys, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Flows {
-		if res.Flows[i].Worst > full.Flows[i].Worst {
-			t.Fatalf("flow %d: truncated worst %d exceeds full-grid worst %d",
-				i, res.Flows[i].Worst, full.Flows[i].Worst)
-		}
-	}
-	if res.Deduped == 0 {
-		t.Error("refinement pass reported no deduplicated candidates on overlapping windows")
-	}
-}
-
-// TestExploreCancelled: a cancelled context yields a partial result
-// marked truncated, not an error and not a proof.
-func TestExploreCancelled(t *testing.T) {
-	sys := traffic.MustSystem(line2(t), []traffic.Flow{
-		{Name: "h", Priority: 1, Period: 8, Deadline: 8, Length: 2, Src: 0, Dst: 1},
-		{Name: "l", Priority: 2, Period: 12, Deadline: 12, Length: 3, Src: 0, Dst: 1},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := Explore(sys, Config{Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("cancelled run claims Complete")
-	}
-	if !strings.Contains(res.Truncation, "cancelled") {
-		t.Fatalf("truncation reason %q does not mention cancellation", res.Truncation)
-	}
-	for i := range res.Flows {
-		if res.Proven(i) {
-			t.Fatalf("flow %d proven on a cancelled run", i)
+		if !strings.Contains(err.Error(), "state budget of 10") {
+			t.Fatalf("mode %v: error %q does not name the budget", mode, err)
 		}
 	}
 }
@@ -325,7 +265,7 @@ func TestExploreCensoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Complete {
-		t.Fatalf("tiny grid not complete: %s", res.Truncation)
+		t.Fatal("tiny grid not complete")
 	}
 	if res.Flows[1].Censored == 0 && res.Flows[1].DeadlineMisses == 0 {
 		t.Fatal("overloaded low-priority flow shows neither censoring nor deadline misses")
@@ -378,6 +318,17 @@ func TestPlanLimits(t *testing.T) {
 		t.Error("overflowing suggested horizon accepted")
 	} else if !strings.Contains(err.Error(), "periods too large") {
 		t.Errorf("horizon overflow error %q does not say periods too large", err)
+	}
+
+	// H + 2D + 1 = 3·2⁶¹ + 1 fits in int64, but the simulator also needs
+	// horizon + T + J + C to fit: Plan must refuse what sim would.
+	t61 := noc.Cycles(1) << 61
+	if _, err := Plan(traffic.MustSystem(topo, []traffic.Flow{
+		{Name: "solo", Priority: 1, Period: t61, Deadline: t61, Length: 1, Src: 0, Dst: 1},
+	})); err == nil {
+		t.Error("horizon the simulator refuses accepted")
+	} else if !strings.Contains(err.Error(), "periods too large") {
+		t.Errorf("simulator-horizon error %q does not say periods too large", err)
 	}
 
 	sp, err := Plan(traffic.MustSystem(topo, []traffic.Flow{
@@ -443,7 +394,7 @@ func TestExploreMPBChainSBOptimistic(t *testing.T) {
 	}
 	const i = 2
 	if !res.Complete || !res.Proven(i) {
-		t.Fatalf("want a complete proof for τi: complete=%v truncation=%q", res.Complete, res.Truncation)
+		t.Fatalf("want a complete proof for τi: complete=%v", res.Complete)
 	}
 	worst := res.Flows[i].Worst
 	if worst != 24 {

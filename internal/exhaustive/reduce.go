@@ -148,36 +148,3 @@ func (e *enum) decode(k int64, out []noc.Cycles) {
 		}
 	}
 }
-
-// encode is decode's inverse: the rank of off, or -1 when off is not
-// enumerated (canonical mode only — a vector whose minimum offset is
-// not zero has no rank; its representative does).
-func (e *enum) encode(off []noc.Cycles) int64 {
-	if !e.canonical {
-		var k int64
-		for i, p := range e.periods {
-			k = k*p + int64(off[i])
-		}
-		return k
-	}
-	j := -1
-	for i := range off {
-		if off[i] == 0 {
-			j = i
-			break
-		}
-	}
-	if j < 0 {
-		return -1
-	}
-	var k int64
-	for i, p := range e.periods {
-		switch {
-		case i < j:
-			k = k*(p-1) + int64(off[i]) - 1
-		case i > j:
-			k = k*p + int64(off[i])
-		}
-	}
-	return e.prefix[j] + k
-}

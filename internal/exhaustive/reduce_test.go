@@ -20,8 +20,8 @@ var enumSpecs = [][]int64{
 
 // TestEnumCanonicalBijection proves the canonical enumerator is a
 // bijection onto exactly the shift-symmetry representatives: the raw
-// grid vectors with min offset 0. Size formula, decode coverage and
-// encode round-trip are all checked against brute force.
+// grid vectors with min offset 0. Size formula and decode coverage are
+// both checked against brute force.
 func TestEnumCanonicalBijection(t *testing.T) {
 	for _, periods := range enumSpecs {
 		t.Run(fmt.Sprintf("%v", periods), func(t *testing.T) {
@@ -41,12 +41,16 @@ func TestEnumCanonicalBijection(t *testing.T) {
 			}
 			// Brute force the representative set off the raw grid.
 			want := make(map[string]bool)
+			rawSeen := make(map[string]bool)
 			off := make([]noc.Cycles, n)
 			for k := int64(0); k < raw.size; k++ {
 				raw.decode(k, off)
-				if raw.encode(off) != k {
-					t.Fatalf("raw encode(decode(%d)) != %d", k, k)
+				for i, o := range off {
+					if o < 0 || int64(o) >= periods[i] {
+						t.Fatalf("raw rank %d decodes out of range: %v", k, off)
+					}
 				}
+				rawSeen[fmt.Sprint(off)] = true
 				min := off[0]
 				for _, o := range off {
 					if o < min {
@@ -57,11 +61,13 @@ func TestEnumCanonicalBijection(t *testing.T) {
 					want[fmt.Sprint(off)] = true
 				}
 			}
+			if int64(len(rawSeen)) != raw.size {
+				t.Fatalf("raw enumeration covers %d distinct vectors of %d", len(rawSeen), raw.size)
+			}
 			if int64(len(want)) != wantSize {
 				t.Fatalf("brute-force representative count %d, formula %d", len(want), wantSize)
 			}
-			// Decode must cover each representative exactly once and
-			// encode must invert it.
+			// Decode must cover each representative exactly once.
 			got := make(map[string]bool)
 			for k := int64(0); k < can.size; k++ {
 				can.decode(k, off)
@@ -73,21 +79,9 @@ func TestEnumCanonicalBijection(t *testing.T) {
 				if !want[key] {
 					t.Fatalf("rank %d decodes to non-representative %v", k, off)
 				}
-				if r := can.encode(off); r != k {
-					t.Fatalf("canonical encode(decode(%d)) = %d", k, r)
-				}
 			}
 			if len(got) != len(want) {
 				t.Fatalf("canonical enumeration covers %d of %d representatives", len(got), len(want))
-			}
-			// Non-representatives have no rank.
-			for k := int64(0); k < raw.size; k++ {
-				raw.decode(k, off)
-				if key := fmt.Sprint(off); !want[key] {
-					if r := can.encode(off); r != -1 {
-						t.Fatalf("non-representative %v got rank %d", off, r)
-					}
-				}
 			}
 		})
 	}
@@ -182,11 +176,11 @@ func TestReductionEquivalence(t *testing.T) {
 						trial, mode, workers, base, res)
 				}
 				if !res.Complete {
-					t.Fatalf("trial %d mode %v: reduced run incomplete: %s", trial, mode, res.Truncation)
+					t.Fatalf("trial %d mode %v: reduced run incomplete", trial, mode)
 				}
-				if res.Explored != res.Space.SizeUnder(mode) || res.Reductions.ReducedGridSize != res.Explored {
-					t.Fatalf("trial %d mode %v: explored %d, SizeUnder %d, stats %d",
-						trial, mode, res.Explored, res.Space.SizeUnder(mode), res.Reductions.ReducedGridSize)
+				if res.States != res.Space.SizeUnder(mode) || res.Reductions.ReducedGridSize != res.States {
+					t.Fatalf("trial %d mode %v: states %d, SizeUnder %d, stats %d",
+						trial, mode, res.States, res.Space.SizeUnder(mode), res.Reductions.ReducedGridSize)
 				}
 				for i := range res.Flows {
 					if res.Flows[i].Worst != full.Flows[i].Worst {
@@ -246,7 +240,7 @@ func TestBrokenCanonicaliserCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !full.Complete {
-		t.Fatalf("raw grid incomplete: %s", full.Truncation)
+		t.Fatal("raw grid incomplete")
 	}
 	// The broken quotient's representative set: offsets (a, 0, c) with
 	// the largest-period flow (first maximum, flow 1) pinned to 0.

@@ -46,15 +46,12 @@ type CampaignStats struct {
 	// Findings counts KnownOptimism classifications.
 	Findings int
 	// Exhausted counts scenarios the explicit-state backend enumerated
-	// (Report.Exhaustive non-nil); ExhaustedComplete counts those whose
-	// full phasing grid was covered — the scenarios whose verdict is a
-	// proof, not a sample. All three stay zero when
+	// in full (Report.Exhaustive non-nil). Both counts stay zero when
 	// CheckConfig.ExhaustiveStates is unset.
-	Exhausted, ExhaustedComplete int
-	// ExhaustedViaReduction counts the subset of ExhaustedComplete whose
-	// proof covered strictly fewer simulated states than the raw phasing
-	// grid — completions the symmetry/cluster reductions made
-	// affordable.
+	Exhausted int
+	// ExhaustedViaReduction counts the subset of Exhausted whose proof
+	// covered strictly fewer simulated states than the raw phasing grid
+	// — completions the symmetry/cluster reductions made affordable.
 	ExhaustedViaReduction int
 }
 
@@ -101,11 +98,8 @@ func Campaign(cfg CampaignConfig, fn func(i int, sc *Scenario, ccfg CheckConfig,
 		stats.Findings += len(rep.Findings)
 		if rep.Exhaustive != nil {
 			stats.Exhausted++
-			if rep.Exhaustive.Complete {
-				stats.ExhaustedComplete++
-				if rep.Exhaustive.StatesSaved > 0 {
-					stats.ExhaustedViaReduction++
-				}
+			if rep.Exhaustive.StatesSaved > 0 {
+				stats.ExhaustedViaReduction++
 			}
 		}
 		mu.Unlock()

@@ -50,7 +50,7 @@ type ExhaustiveGap struct {
 type ExhaustiveReport struct {
 	// GridSize is the full phasing grid of the scenario.
 	GridSize int64 `json:"grid_size"`
-	// ReducedGridSize is the stride-1 enumeration size under the
+	// ReducedGridSize is the enumeration size under the
 	// reduction mode the backend ran with (equal to GridSize when the
 	// reductions were off or saved nothing).
 	ReducedGridSize int64 `json:"reduced_grid_size"`
@@ -65,16 +65,12 @@ type ExhaustiveReport struct {
 	StatesSaved int64 `json:"states_saved"`
 	// States is the number of phasings actually simulated.
 	States int64 `json:"states"`
-	// Stride is the effective sampling stride (1 = full enumeration).
-	Stride int64 `json:"stride"`
 	// Duration is the per-phasing simulation horizon used.
 	Duration noc.Cycles `json:"duration"`
-	// Complete reports whether the grid was fully enumerated; proofs and
-	// the "search<=exhaustive" invariant both require it.
+	// Complete is always true: the backend reports only full
+	// enumerations of the reduced grid and skips a space beyond the
+	// budget, so every report is held to search<=exhaustive.
 	Complete bool `json:"complete"`
-	// Truncation, for incomplete explorations, says what was cut. A
-	// truncated run is reported as a lower bound, never as a proof.
-	Truncation string `json:"truncation,omitempty"`
 	// Gaps holds the per-flow search-vs-exhaustive comparison for every
 	// flow some analysis declared schedulable.
 	Gaps []ExhaustiveGap `json:"gaps"`
@@ -124,10 +120,8 @@ func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, 
 		Clusters:        ex.Reductions.Clusters,
 		StatesSaved:     ex.Reductions.StatesSaved,
 		States:          ex.States,
-		Stride:          ex.Stride,
 		Duration:        ex.Duration,
 		Complete:        ex.Complete,
-		Truncation:      ex.Truncation,
 	}
 	simRuns := int(ex.States)
 	var out []Violation
@@ -169,10 +163,10 @@ func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, 
 		er.Gaps = append(er.Gaps, g)
 
 		// search <= exhaustive: the search samples a subset of the
-		// enumerated class, so on a complete enumeration it can never see
-		// further than the backend. If it does, the enumeration (or the
-		// class argument behind it) is broken.
-		if ex.Complete && search.Worst > ex.Flows[i].Worst {
+		// enumerated class, so it can never see further than the backend.
+		// If it does, the enumeration (or the class argument behind it)
+		// is broken.
+		if search.Worst > ex.Flows[i].Worst {
 			out = append(out, Violation{
 				Class:     ExhaustiveDivergent,
 				Invariant: "search<=exhaustive",
@@ -186,9 +180,8 @@ func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, 
 		}
 
 		// exhaustive <= bound for every declared-safe bound: the true
-		// in-class worst case (or its truncated lower bound — still a
-		// witnessed latency) must stay below anything IBN/XLWX declared
-		// safe.
+		// in-class worst case, a witnessed latency, must stay below
+		// anything IBN/XLWX declared safe.
 		for _, m := range methods {
 			fr := results[m].Flows[i]
 			if fr.Status != core.Schedulable {
@@ -204,8 +197,8 @@ func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, 
 					Bound:     b,
 					Observed:  ex.Flows[i].Worst,
 					Offsets:   append([]noc.Cycles(nil), ex.Flows[i].Offsets...),
-					Detail: fmt.Sprintf("exhaustive worst case %d exceeds bound %d by %d (complete=%v)",
-						ex.Flows[i].Worst, b, ex.Flows[i].Worst-b, ex.Complete),
+					Detail: fmt.Sprintf("exhaustive worst case %d exceeds bound %d by %d",
+						ex.Flows[i].Worst, b, ex.Flows[i].Worst-b),
 				})
 			}
 			// Censored packets witness latencies beyond the deadline

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -100,11 +99,11 @@ func NewPhasings(sys *traffic.System, workers int) *Phasings {
 // must not retain off.
 //
 // base is validated once, before any run, and may not set TraceWriter:
-// concurrent traces would interleave. A run error or a cancelled ctx
-// stops the batch (a chunk under way still completes), and Eval returns
-// the error with the fold of the phasings that completed. The Fold is
-// valid until the next Eval.
-func (p *Phasings) Eval(ctx context.Context, base Config, n int, set func(i int, off []noc.Cycles)) (*Fold, error) {
+// concurrent traces would interleave. A run error stops the batch (a
+// chunk under way still completes), and Eval returns the error with the
+// fold of the phasings that completed. The Fold is valid until the next
+// Eval.
+func (p *Phasings) Eval(base Config, n int, set func(i int, off []noc.Cycles)) (*Fold, error) {
 	if base.TraceWriter != nil {
 		return nil, fmt.Errorf("sim: tracing is not supported in phasing batches")
 	}
@@ -125,7 +124,7 @@ func (p *Phasings) Eval(ctx context.Context, base Config, n int, set func(i int,
 	if n > 0 {
 		// About 64 chunks: a partition of n alone, never of the workers.
 		chunk := min(max(n/64, 1), 2048)
-		r := parallel.Runner{Workers: p.workers, Context: ctx}
+		r := parallel.Runner{Workers: p.workers}
 		err = r.RunWorkers((n-1)/chunk+1, func(w, c int) error {
 			s := &p.slots[w]
 			if s.eng == nil {
@@ -177,11 +176,11 @@ func (p *Phasings) Eval(ctx context.Context, base Config, n int, set func(i int,
 
 // EvalBusyPeriods is Eval with every phasing simulated only to its
 // first idle instant, as Engine.RunBusyPeriod does; the exhaustive
-// explorer's stride-1 passes use it (DESIGN.md §15).
-func (p *Phasings) EvalBusyPeriods(ctx context.Context, base Config, n int, set func(i int, off []noc.Cycles)) (*Fold, error) {
+// explorer uses it (DESIGN.md §15).
+func (p *Phasings) EvalBusyPeriods(base Config, n int, set func(i int, off []noc.Cycles)) (*Fold, error) {
 	if base.InjectJitter {
 		return nil, fmt.Errorf("sim: a busy-period run cannot inject jitter")
 	}
 	base.busyPeriod = true
-	return p.Eval(ctx, base, n, set)
+	return p.Eval(base, n, set)
 }

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -122,11 +121,11 @@ func sequentialFold(t testing.TB, c phasingCase, n int) *sim.Fold {
 	return want
 }
 
-func evalCase(p *sim.Phasings, ctx context.Context, c phasingCase) (*sim.Fold, error) {
+func evalCase(p *sim.Phasings, c phasingCase) (*sim.Fold, error) {
 	if c.busy {
-		return p.EvalBusyPeriods(ctx, c.base, len(c.full), c.set)
+		return p.EvalBusyPeriods(c.base, len(c.full), c.set)
 	}
-	return p.Eval(ctx, c.base, len(c.full), c.set)
+	return p.Eval(c.base, len(c.full), c.set)
 }
 
 // TestPhasingsMatchesSequential holds Eval's fold equal to a sequential
@@ -142,7 +141,7 @@ func TestPhasingsMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 7} {
 			p := sim.NewPhasings(c.sys, workers)
 			for call := 0; call < 2; call++ {
-				got, err := evalCase(p, context.Background(), c)
+				got, err := evalCase(p, c)
 				if err != nil {
 					t.Fatalf("%s busy=%v workers=%d: %v", c.name, c.busy, workers, err)
 				}
@@ -186,7 +185,7 @@ func TestPhasingsTieLowestIndex(t *testing.T) {
 		list = append(list, others[i%len(others)])
 	}
 	for _, workers := range []int{1, 2, 7} {
-		got, err := sim.NewPhasings(c.sys, workers).Eval(context.Background(), c.base, len(list),
+		got, err := sim.NewPhasings(c.sys, workers).Eval(c.base, len(list),
 			func(i int, off []noc.Cycles) { copy(off, list[i]) })
 		if err != nil {
 			t.Fatal(err)
@@ -195,33 +194,6 @@ func TestPhasingsTieLowestIndex(t *testing.T) {
 			t.Errorf("workers=%d: flow %d worst %d at %d, want %d at %d (tie at %d)",
 				workers, f, got.Worst[f], got.At[f], want.Worst[f], lo, hi)
 		}
-	}
-}
-
-// TestPhasingsCancel checks that a cancelled batch returns
-// context.Canceled with the fold of the chunks that completed.
-func TestPhasingsCancel(t *testing.T) {
-	c := phasingCases(t)[0]
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const stopAt = 10
-	// One worker, one phasing per chunk: phasings 0..stopAt complete.
-	got, err := sim.NewPhasings(c.sys, 1).Eval(ctx, c.base, len(c.full), func(i int, off []noc.Cycles) {
-		if i == stopAt {
-			cancel()
-		}
-		copy(off, c.full[i])
-	})
-	if err != context.Canceled {
-		t.Fatalf("Eval returned %v, want context.Canceled", err)
-	}
-	if want := sequentialFold(t, c, stopAt+1); !reflect.DeepEqual(got, want) {
-		t.Errorf("cancelled fold diverged from the completed phasings\nwant %+v\ngot  %+v", want, got)
-	}
-
-	got, err = sim.NewPhasings(c.sys, 2).Eval(ctx, c.base, len(c.full), c.set)
-	if err != context.Canceled || got.Runs != 0 {
-		t.Errorf("pre-cancelled Eval: err %v, %d runs; want context.Canceled and none", err, got.Runs)
 	}
 }
 
@@ -247,9 +219,9 @@ func TestPhasingsValidation(t *testing.T) {
 		p := sim.NewPhasings(sys, 2)
 		var err error
 		if tc.busy {
-			_, err = p.EvalBusyPeriods(context.Background(), tc.base, 4, set)
+			_, err = p.EvalBusyPeriods(tc.base, 4, set)
 		} else {
-			_, err = p.Eval(context.Background(), tc.base, 4, set)
+			_, err = p.Eval(tc.base, 4, set)
 		}
 		if err == nil {
 			t.Errorf("%s: Eval accepted an invalid base", tc.name)
@@ -258,7 +230,7 @@ func TestPhasingsValidation(t *testing.T) {
 			t.Errorf("%s: Eval ran a phasing despite the invalid base", tc.name)
 		}
 	}
-	fold, err := sim.NewPhasings(sys, 1).Eval(context.Background(), sim.Config{Duration: 100}, 4,
+	fold, err := sim.NewPhasings(sys, 1).Eval(sim.Config{Duration: 100}, 4,
 		func(i int, off []noc.Cycles) { off[2] = noc.Cycles(1 - i) })
 	if err == nil || fold.Runs != 2 {
 		t.Errorf("negative offset at phasing 2: err %v after %d runs, want an error after 2", err, fold.Runs)
@@ -287,12 +259,12 @@ func TestPhasingsSteadyStateAllocs(t *testing.T) {
 	base := sim.Config{Duration: 5_000}
 	set := func(i int, off []noc.Cycles) { copy(off, offs[i]) }
 	for i := 0; i < 3; i++ {
-		if _, err := p.Eval(context.Background(), base, n, set); err != nil {
+		if _, err := p.Eval(base, n, set); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := p.Eval(context.Background(), base, n, set); err != nil {
+		if _, err := p.Eval(base, n, set); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -390,7 +362,7 @@ func BenchmarkRunMany(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Eval(context.Background(), base, len(offs), set); err != nil {
+			if _, err := p.Eval(base, len(offs), set); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -413,7 +385,7 @@ func campaignPhasings(b testing.TB) (*traffic.System, sim.Config, [][]noc.Cycles
 func TestRunManyBenchSpecsAgree(t *testing.T) {
 	sys, base, offs := campaignPhasings(t)
 	c := phasingCase{sys: sys, base: base, full: offs[:16]}
-	got, err := sim.NewPhasings(sys, 0).Eval(context.Background(), base, len(c.full),
+	got, err := sim.NewPhasings(sys, 0).Eval(base, len(c.full),
 		func(i int, off []noc.Cycles) { copy(off, offs[i]) })
 	if err != nil {
 		t.Fatal(err)

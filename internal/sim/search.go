@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -185,7 +184,7 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	// evalBatch evaluates cands[0:k]: the target's largest latency and
 	// the first candidate reaching it.
 	evalBatch := func(k int) (noc.Cycles, int, error) {
-		fold, err := ph.Eval(context.TODO(), probe, k, setCand)
+		fold, err := ph.Eval(probe, k, setCand)
 		if err != nil {
 			return 0, 0, err
 		}

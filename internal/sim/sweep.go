@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"wormnoc/internal/noc"
@@ -41,7 +40,7 @@ func SweepOffsets(sys *traffic.System, base Config, flowIdx int, maxOffset, step
 	// (maxOffset-1)/step + 1 settings, the last at most maxOffset-1: no
 	// offset overflows.
 	runs := int((maxOffset-1)/step + 1)
-	fold, err := NewPhasings(sys, 0).Eval(context.TODO(), base, runs, func(i int, off []noc.Cycles) {
+	fold, err := NewPhasings(sys, 0).Eval(base, runs, func(i int, off []noc.Cycles) {
 		off[flowIdx] = noc.Cycles(i) * step
 	})
 	if err != nil {
