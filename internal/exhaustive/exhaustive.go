@@ -71,8 +71,9 @@
 // # Budget
 //
 // MaxStates caps the number of phasings simulated. Explore either
-// enumerates the whole reduced space or, when that space exceeds the
-// budget, refuses with an error: every Result it returns is Complete.
+// enumerates the whole reduced space or refuses with a *Refusal: when
+// that space exceeds the budget, or when Plan cannot size it. Every
+// Result it returns is Complete.
 //
 // Each group's representatives are one batch of a sim.Phasings evaluator,
 // which fans them out over warm per-worker engines and folds per-flow
@@ -152,8 +153,7 @@ type Space struct {
 }
 
 // SizeUnder returns the number of phasings Explore enumerates under
-// reduction mode r. Callers budgeting an exploration (the oracle's skip
-// decision) must size against the mode they will run, not the raw grid —
+// reduction mode r: its budget applies to this size, not the raw grid —
 // that is the whole point of the reductions.
 func (sp Space) SizeUnder(r Reduction) int64 {
 	switch r {
@@ -181,9 +181,7 @@ func (sp Space) SizeUnder(r Reduction) int64 {
 	return s
 }
 
-// Plan sizes the state space of sys without exploring it: callers use
-// it to decide whether a configuration fits an exhaustive budget (the
-// oracle skips the invariant, loudly, when it does not). The error
+// Plan sizes the state space of sys without exploring it. The error
 // reports structural limits — too many flows or nodes, an arbitration
 // tie, arithmetic overflow of the grid or horizon, or a horizon the
 // simulator would refuse — not budget overruns, which are Explore's to
@@ -264,8 +262,8 @@ type Config struct {
 	// on unless a differential run switches them off.
 	Reduce Reduction
 	// MaxStates caps the number of phasings simulated
-	// (0 = DefaultMaxStates). Explore fails when the reduced state
-	// space exceeds it.
+	// (0 = DefaultMaxStates). Explore refuses a reduced state space
+	// beyond it.
 	MaxStates int64
 	// Workers bounds the engines simulating phasings at once
 	// (0 = GOMAXPROCS). The result is bit-identical for any value.
@@ -439,15 +437,45 @@ func reductionStats(sp Space, mode Reduction, groups []group) Reductions {
 	return red
 }
 
+// Refusal is the error Explore returns for a system it will not
+// enumerate: one Plan cannot size, or one whose reduced state space
+// exceeds the budget. Callers that prove only what is within reach
+// (the oracle) skip a refused system; any other Explore error is a
+// failure.
+type Refusal struct {
+	// Plan is Plan's error, nil for an over-budget space.
+	Plan error
+	// Reduced, Raw and Budget size an over-budget space: the phasings
+	// the reduction mode enumerates, the raw grid and the state budget.
+	Reduced, Raw, Budget int64
+}
+
+// Error returns Plan's message, or names the reduced size, the raw grid
+// and the budget of an over-budget space.
+func (r *Refusal) Error() string {
+	if r.Plan != nil {
+		return r.Plan.Error()
+	}
+	return fmt.Sprintf("exhaustive: reduced state space of %d phasings (raw grid %d) exceeds the state budget of %d",
+		r.Reduced, r.Raw, r.Budget)
+}
+
 // Explore enumerates the phasing state space of sys — reduced per
 // cfg.Reduce — and returns every flow's worst case over the full
 // canonical phasing class. It is deterministic in (sys, cfg), including
-// at any Workers value. Structural errors (limits, ties) and a reduced
-// state space beyond cfg.MaxStates return a nil Result.
+// at any Workers value. A system Plan refuses or a reduced state space
+// beyond cfg.MaxStates returns a nil Result and a *Refusal.
 func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 	sp, err := Plan(sys)
 	if err != nil {
-		return nil, err
+		return nil, &Refusal{Plan: err}
+	}
+	maxStates := cfg.MaxStates
+	if maxStates <= 0 {
+		maxStates = DefaultMaxStates
+	}
+	if reduced := sp.SizeUnder(cfg.Reduce); reduced > maxStates {
+		return nil, &Refusal{Reduced: reduced, Raw: sp.GridSize, Budget: maxStates}
 	}
 	n := sys.NumFlows()
 	res := &Result{
@@ -470,15 +498,6 @@ func Explore(sys *traffic.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Reductions = reductionStats(sp, cfg.Reduce, groups)
-
-	maxStates := cfg.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	if total := res.Reductions.ReducedGridSize; total > maxStates {
-		return nil, fmt.Errorf("exhaustive: reduced state space of %d phasings (raw grid %d) exceeds the state budget of %d",
-			total, sp.GridSize, maxStates)
-	}
 
 	// Each group's representatives are one batch of its own evaluator; a
 	// flow belongs to exactly one group, so its batch's fold is its

@@ -1,6 +1,7 @@
 package exhaustive
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -232,9 +233,12 @@ func TestExploreRepeatable(t *testing.T) {
 }
 
 // TestExploreOverBudgetRefuses: a reduced space beyond MaxStates is
-// refused with an error naming the budget, never explored in part.
+// refused with a *Refusal naming the reduced size, the raw grid and the
+// budget, never explored in part; a system Plan refuses is refused with
+// Plan's error.
 func TestExploreOverBudgetRefuses(t *testing.T) {
-	sys := traffic.MustSystem(line2(t), []traffic.Flow{
+	topo := line2(t)
+	sys := traffic.MustSystem(topo, []traffic.Flow{
 		{Name: "h", Priority: 1, Period: 8, Deadline: 8, Length: 2, Src: 0, Dst: 1},
 		{Name: "l", Priority: 2, Period: 12, Deadline: 12, Length: 3, Src: 0, Dst: 1},
 	})
@@ -246,7 +250,31 @@ func TestExploreOverBudgetRefuses(t *testing.T) {
 		if !strings.Contains(err.Error(), "state budget of 10") {
 			t.Fatalf("mode %v: error %q does not name the budget", mode, err)
 		}
+		var refused *Refusal
+		if !errors.As(err, &refused) || refused.Plan != nil ||
+			refused.Reduced != sizeUnder(t, sys, mode) || refused.Raw != 96 || refused.Budget != 10 {
+			t.Fatalf("mode %v: error %#v, want an over-budget Refusal of %d phasings, raw 96, budget 10",
+				mode, err, sizeUnder(t, sys, mode))
+		}
 	}
+	five := make([]traffic.Flow, 5)
+	for i := range five {
+		five[i] = traffic.Flow{Priority: i + 1, Period: 10, Deadline: 10, Length: 1, Src: 0, Dst: 1}
+	}
+	_, err := Explore(traffic.MustSystem(topo, five), Config{})
+	var refused *Refusal
+	if !errors.As(err, &refused) || refused.Plan == nil || err.Error() != refused.Plan.Error() {
+		t.Fatalf("5-flow system: error %#v, want a Refusal carrying Plan's error", err)
+	}
+}
+
+// sizeUnder returns sys's reduced space under mode, as Plan sizes it.
+func sizeUnder(t *testing.T, sys *traffic.System, mode Reduction) int64 {
+	sp, err := Plan(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.SizeUnder(mode)
 }
 
 // TestExploreCensoring: an overloaded link must surface as censored

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -91,25 +92,25 @@ type ExhaustiveReport struct {
 func checkExhaustive(sys *traffic.System, results map[core.Method]*core.Result, cfg CheckConfig,
 	bound func(core.Method, int, noc.Cycles) noc.Cycles, table *sim.BusyPeriodTable) ([]Violation, *ExhaustiveReport, []string, int, error) {
 
-	sp, err := exhaustive.Plan(sys)
-	if err != nil {
-		return nil, nil, []string{fmt.Sprintf("exhaustive skipped: %v", err)}, 0, nil
-	}
-	// The budget gate compares against the REDUCED enumeration size:
-	// scenarios whose raw grid dwarfs the budget still get proofs when
-	// the symmetry quotient and cluster decomposition bring the state
-	// count within reach. The skip note records both sizes so a "still
-	// too big" verdict is auditable against either.
-	if reduced := sp.SizeUnder(cfg.ExhaustiveReduce); reduced > cfg.ExhaustiveStates {
-		return nil, nil, []string{fmt.Sprintf(
-			"exhaustive skipped: reduced state space of %d phasings (raw grid %d) exceeds budget %d",
-			reduced, sp.GridSize, cfg.ExhaustiveStates)}, 0, nil
-	}
+	// The budget applies to the REDUCED enumeration size: scenarios
+	// whose raw grid dwarfs the budget still get proofs when the
+	// symmetry quotient and cluster decomposition bring the state count
+	// within reach. The skip note records both sizes so a "still too
+	// big" verdict is auditable against either.
 	ex, err := exhaustive.Explore(sys, exhaustive.Config{
 		MaxStates: cfg.ExhaustiveStates,
 		Workers:   cfg.Workers,
 		Reduce:    cfg.ExhaustiveReduce,
 	})
+	var refused *exhaustive.Refusal
+	if errors.As(err, &refused) {
+		if refused.Plan != nil {
+			return nil, nil, []string{fmt.Sprintf("exhaustive skipped: %v", refused.Plan)}, 0, nil
+		}
+		return nil, nil, []string{fmt.Sprintf(
+			"exhaustive skipped: reduced state space of %d phasings (raw grid %d) exceeds budget %d",
+			refused.Reduced, refused.Raw, refused.Budget)}, 0, nil
+	}
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("oracle: exhaustive exploration: %w", err)
 	}

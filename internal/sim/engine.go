@@ -237,6 +237,10 @@ type Engine struct {
 	pktSeq      []int
 	pending     []cycQueue // jittered releases not yet due, time-ordered
 	jitter      *rand.Rand // over a jitterStream
+	// skip orders the next ticks of the dropped flows whose draws a
+	// run replays (cfg.replay) by (tick, flow); flow indexes
+	// cfg.replay.drops.
+	skip []relEvent
 
 	// arrivals is a FIFO of in-transit flits; since every transfer takes
 	// exactly linkl cycles, arrivals complete in submission order.
@@ -476,6 +480,13 @@ func (e *Engine) reset(cfg Config) {
 	}
 	e.res.InFlight = 0
 	e.jitter.Seed(cfg.JitterSeed)
+	e.skip = e.skip[:0]
+	for j, off := range cfg.replay.offsets {
+		e.skip = append(e.skip, relEvent{at: off, flow: int32(j)})
+	}
+	for j := len(e.skip)/2 - 1; j >= 0; j-- {
+		siftDown(e.skip, j)
+	}
 	e.arrivals = e.arrivals[:0]
 	e.arrivalHead = 0
 	e.relHeap = e.relHeap[:0]
@@ -717,6 +728,9 @@ func (e *Engine) processReleases(i int, t noc.Cycles) {
 		e.released[i]++
 		relAt := e.nextRelease[i]
 		if e.cfg.InjectJitter && f.Jitter > 0 {
+			if len(e.skip) > 0 {
+				e.skipDrops(i, relAt)
+			}
 			relAt += noc.Cycles(e.jitter.Int63n(int64(f.Jitter) + 1))
 			if e.pending[i].len() > 0 && relAt < e.pending[i].back() {
 				relAt = e.pending[i].back()
@@ -1371,11 +1385,15 @@ func (e *Engine) relPush(at noc.Cycles, flow int32) {
 }
 
 func (e *Engine) relPop() {
-	h := e.relHeap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
+	n := len(e.relHeap) - 1
+	e.relHeap[0] = e.relHeap[n]
+	e.relHeap = e.relHeap[:n]
+	siftDown(e.relHeap, 0)
+}
+
+// siftDown restores the (at, flow) heap order of h below entry i.
+func siftDown(h []relEvent, i int) {
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -1390,7 +1408,6 @@ func (e *Engine) relPop() {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-	e.relHeap = h
 }
 
 // scheduleWake arranges for link l to be re-arbitrated at cycle at,

@@ -1,6 +1,9 @@
 package sim
 
-import "wormnoc/internal/traffic"
+import (
+	"wormnoc/internal/noc"
+	"wormnoc/internal/traffic"
+)
 
 // Scoped returns cfg as a target-scoped run of flow target, the way
 // SearchWorstCase configures its probes.
@@ -43,3 +46,24 @@ func Unrestricted(cfg SearchConfig) SearchConfig {
 // Influence returns the flows a search of cfg simulates, or nil when it
 // simulates every flow.
 func Influence(sys *traffic.System, cfg SearchConfig) []int { return influence(sys, cfg) }
+
+// Restricted returns cfg, a run of sys, as a restricted search probe
+// runs it on the restriction of sys to keep: offsets projected onto
+// keep and, with jitter injected, the dropped flows' draws replayed.
+func Restricted(sys *traffic.System, keep []int, cfg Config) Config {
+	full := cfg.Offsets
+	if full == nil {
+		full = make([]noc.Cycles, sys.NumFlows())
+	}
+	cfg.Offsets = make([]noc.Cycles, len(keep))
+	for k, f := range keep {
+		cfg.Offsets[k] = full[f]
+	}
+	if cfg.InjectJitter {
+		cfg.replay = newReplay(sys, keep)
+		for _, d := range cfg.replay.drops {
+			cfg.replay.offsets = append(cfg.replay.offsets, full[d.index])
+		}
+	}
+	return cfg
+}

@@ -96,7 +96,9 @@ func NewPhasings(sys *traffic.System, workers int) *Phasings {
 // Eval simulates phasings 0..n-1 of base and returns their Fold. set
 // writes phasing i's offsets into off, which holds base.Offsets (zeros
 // when nil) on entry; it is called concurrently for distinct i and
-// must not retain off.
+// must not retain off. When base replays a full system's jitter
+// (SearchWorstCase's restricted probes), off continues past the
+// system's flows with the first tick of each replayed dropped flow.
 //
 // base is validated once, before any run, and may not set TraceWriter:
 // concurrent traces would interleave. A run error stops the batch (a
@@ -111,6 +113,7 @@ func (p *Phasings) Eval(base Config, n int, set func(i int, off []noc.Cycles)) (
 		return nil, err
 	}
 	nf := p.sys.NumFlows()
+	nd := len(base.replay.drops)
 	lo, hi := 0, nf
 	if base.stopFlow > 0 { // the other rows of a target-scoped run are partial
 		lo, hi = base.stopFlow-1, base.stopFlow
@@ -128,11 +131,14 @@ func (p *Phasings) Eval(base Config, n int, set func(i int, off []noc.Cycles)) (
 		err = r.RunWorkers((n-1)/chunk+1, func(w, c int) error {
 			s := &p.slots[w]
 			if s.eng == nil {
-				s.eng, s.off = NewEngine(p.sys), make([]noc.Cycles, nf)
+				s.eng = NewEngine(p.sys)
 				s.fold.reset(nf)
 			}
+			if len(s.off) != nf+nd {
+				s.off = make([]noc.Cycles, nf+nd)
+			}
 			cfg := base
-			cfg.Offsets = s.off
+			cfg.Offsets, cfg.replay.offsets = s.off[:nf], s.off[nf:]
 			for i := c * chunk; i < c*chunk+min(chunk, n-c*chunk); i++ {
 				if base.Offsets != nil {
 					copy(s.off, base.Offsets)

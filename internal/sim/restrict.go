@@ -26,11 +26,13 @@ import (
 // (core.Sets.Clusters). Dropping every flow outside the component
 // removes no candidate from any arbitration the kept flows ever face.
 //
-// SearchWorstCase restricts its probes to a weaker closure: the
+// SearchWorstCase restricts its probes to the target's component on
+// multi-cycle links, and on single-cycle links to a weaker closure, the
 // target's influence set, closed under higher-priority flows sharing a
-// link, which is exact for the kept flows on single-cycle links when no
-// dropped flow draws jitter (DESIGN.md §10, "Influence-restricted
-// searches").
+// link. With jitter injected its restricted runs also replay the
+// dropped flows' draws from the shared jitter stream, which a plain run
+// of the restricted system would shift (DESIGN.md §10,
+// "Influence-restricted searches").
 //
 // Restrict validates that keep is non-empty, in range and duplicate
 // free, but deliberately does not verify interference-closure: callers

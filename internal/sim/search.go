@@ -94,13 +94,17 @@ type SearchResult struct {
 // it applies the busy periods an earlier probe already simulated and
 // fast-forwards a recurrence, simulating only the busy periods it has
 // not seen and the one holding the target's last tick (DESIGN.md §10).
-// On single-cycle links the probes also simulate only the target's
-// influence set (see influence), since no other flow can move the
-// target's latency: a refinement batch over a flow outside the set
-// observes the current worst without a run, and every other probe runs
-// on the restricted system (Restrict) with its offsets projected onto
-// it. Table holds that system and its busy-period table, for every
-// search of the same set (DESIGN.md §10).
+// The probes also simulate only the target's influence set (see
+// influence), since no other flow can move the target's latency. Every
+// probe runs on the restricted system (Restrict) with its offsets
+// projected onto it; with jitter injected it replays the dropped flows'
+// draws from the shared jitter stream (jitterReplay), so each kept flow
+// draws what it draws in the full system. A refinement batch over a
+// dropped flow observes the current worst without a run, unless that
+// flow draws jitter and a kept flow does too: its offset then moves the
+// kept flows' draws, and the batch runs. Table holds the restricted
+// system and its busy-period table, for every search of the same set
+// (DESIGN.md §10).
 //
 // Runs still counts every probe. The result depends only on the
 // configuration and seed, never on the worker count, the table or the
@@ -144,15 +148,26 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	}
 	// The probes simulate psys, sys itself or the restricted system of
 	// the target's influence set, in which target is cfg.Target's index.
+	// With jitter injected, they draw the full system's jitter
+	// (jitterReplay), so a refinement batch over a dropped flow can be
+	// resolved without a run only when that flow draws no jitter or no
+	// kept flow does.
 	psys, target, keep := sys, cfg.Target, influence(sys, cfg)
-	inSet := func(int) bool { return true }
+	var replay jitterReplay
+	moves := func(int) bool { return true }
 	if keep != nil {
 		var err error
 		if psys, table, err = table.restrict(sys, keep); err != nil {
 			return nil, err
 		}
 		target, _ = slices.BinarySearch(keep, cfg.Target)
-		inSet = func(f int) bool { _, ok := slices.BinarySearch(keep, f); return ok }
+		if cfg.Base.InjectJitter {
+			replay = newReplay(sys, keep)
+		}
+		moves = func(f int) bool {
+			_, ok := slices.BinarySearch(keep, f)
+			return ok || replay.drops != nil && sys.Flow(f).Jitter > 0
+		}
 	}
 
 	best := &SearchResult{Worst: -1, Offsets: make([]noc.Cycles, n)}
@@ -172,11 +187,15 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 	probe.Offsets = nil
 	probe.stopFlow = target + 1
 	probe.table = table
+	probe.replay = replay
 	setCand := func(i int, off []noc.Cycles) { copy(off, cands[i]) }
 	if keep != nil {
 		setCand = func(i int, off []noc.Cycles) {
 			for k, f := range keep {
 				off[k] = cands[i][f]
+			}
+			for j, d := range replay.drops {
+				off[len(keep)+j] = cands[i][d.index]
 			}
 		}
 	}
@@ -215,7 +234,7 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 					continue
 				}
 				period := int64(sys.Flow(f).Period)
-				if !inSet(f) {
+				if !moves(f) {
 					// f cannot move the target: every probe observes
 					// curWorst, so none improves on cur.
 					for range cfg.ProbesPerFlow {
@@ -251,22 +270,21 @@ func SearchWorstCase(sys *traffic.System, cfg SearchConfig) (*SearchResult, erro
 }
 
 // influence returns the flows a search of cfg.Target must simulate, in
-// index order: the target and, transitively, every flow of higher
-// priority than a member that shares a link with it (the target's S^D,
-// their S^D in turn, and so on; DESIGN.md §10, "Influence-restricted
-// searches"). It returns
-// nil, and the search simulates every flow, when the set is the whole
-// system or when dropping the other flows could move the target:
-//
-//   - on links slower than one cycle, a lower-priority flit holds a
-//     link for linkl cycles once it wins it, delaying a higher-priority
-//     flit that becomes eligible meanwhile;
-//   - with jitter injected, the flows share one jitter stream, so
-//     dropping a jittered flow would shift the draws of the kept ones.
+// index order, or nil when that is every flow (DESIGN.md §10,
+// "Influence-restricted searches"). On single-cycle links it is the
+// target and, transitively, every flow of higher priority than a member
+// that shares a link with it: the target's S^D, their S^D in turn, and
+// so on. On slower links a lower-priority flit holds a link it won for
+// linkl cycles, delaying a higher-priority flit that becomes eligible
+// meanwhile, so the set is the target's contention cluster: every flow
+// linked to it by a chain of shared links (Restrict). Jitter does not
+// widen the set: the search replays the dropped flows' draws
+// (jitterReplay).
 func influence(sys *traffic.System, cfg SearchConfig) []int {
-	if cfg.unrestricted || sys.Topology().Config().LinkLatency != 1 {
+	if cfg.unrestricted {
 		return nil
 	}
+	anyPriority := sys.Topology().Config().LinkLatency != 1
 	n := sys.NumFlows()
 	onLink := make([][]int, sys.Topology().NumLinks())
 	for i := range n {
@@ -281,7 +299,7 @@ func influence(sys *traffic.System, cfg SearchConfig) []int {
 		stack = stack[:len(stack)-1]
 		for _, l := range sys.Route(m) {
 			for _, j := range onLink[l] {
-				if !in[j] && sys.HigherPriority(j, m) {
+				if !in[j] && (anyPriority || sys.HigherPriority(j, m)) {
 					in[j] = true
 					stack = append(stack, j)
 				}
@@ -292,8 +310,6 @@ func influence(sys *traffic.System, cfg SearchConfig) []int {
 	for i := range n {
 		if in[i] {
 			keep = append(keep, i)
-		} else if cfg.Base.InjectJitter && sys.Flow(i).Jitter > 0 {
-			return nil
 		}
 	}
 	if len(keep) == n {

@@ -31,10 +31,10 @@
 // of systems with short hyperperiods or small key spaces also walk a
 // BusyPeriodTable, which stores every busy period they simulate, keyed
 // by the phasing it starts from, so probes sharing the table simulate
-// each busy period once (DESIGN.md §10, "Busy-period table"). On
-// single-cycle links a search simulates only its target's influence
-// set, the flows of higher priority that can reach it through shared
-// links, on a Restrict-ed system (DESIGN.md §10, "Influence-restricted
+// each busy period once (DESIGN.md §10, "Busy-period table"). A search
+// simulates only its target's influence set, the flows that can reach
+// it through shared links, on a Restrict-ed system, replaying the
+// dropped flows' jitter draws (DESIGN.md §10, "Influence-restricted
 // searches").
 package sim
 
@@ -89,6 +89,10 @@ type Config struct {
 	// untraced and unrecorded, is the busy-period table the run walks
 	// (DESIGN.md §10). Only SearchWorstCase sets it.
 	table *BusyPeriodTable
+	// replay, on a jittered run of an influence set's restricted system,
+	// makes the run draw each kept flow the jitter the full system's run
+	// draws it (jitterReplay). Only SearchWorstCase sets it.
+	replay jitterReplay
 	// busyPeriod ends the run at the top of the cycle after the network
 	// first drains: after the first release, every released packet has
 	// been delivered. Only Engine.RunBusyPeriod sets it.
